@@ -20,7 +20,6 @@ module Journal = Recflow_machine.Journal
 module Workload = Recflow_workload.Workload
 module Value = Recflow_lang.Value
 module Counter = Recflow_stats.Counter
-module Trace = Recflow_sim.Trace
 module Sink = Recflow_obs_core.Sink
 module Json = Recflow_obs_core.Json
 module Profile = Recflow_obs_core.Profile
@@ -127,7 +126,7 @@ let explain_main code =
 
 let main nodes topology policy recovery ckpt_keep_all ancestor_depth inline_depth seed
     detect_delay workload_name size_name program_file entry args failures show_journal
-    show_trace trace_limit show_stats show_timeline drain emit_trace metrics_json trace_jsonl
+    trace_limit show_stats show_timeline drain emit_trace metrics_json trace_jsonl
     trace_sample profile profile_json check_only check_json werror no_check serve requests
     arrival_mean service_replicas max_inflight shed_frac service_json explain_code loss_prior
     ckpt_cost =
@@ -293,18 +292,18 @@ let main nodes topology policy recovery ckpt_keep_all ancestor_depth inline_dept
     Profile.reset ()
   end;
   let cluster = Cluster.create cfg program in
-  (* stream the full protocol trace to disk while it happens — the ring
-     only retains the newest [trace_capacity] records *)
+  (* stream every journal entry to disk while it happens, whether or not
+     the journal retains it *)
   let jsonl_sink =
     Option.map
       (fun path ->
-        let file_sink = Sink.file ~render:Trace.to_json_line path in
+        let file_sink = Sink.file ~render:Journal.to_json_line path in
         let s =
           match trace_sample with
           | Some k when k > 1 -> Sink.sample ~every:k file_sink
           | _ -> file_sink
         in
-        Trace.attach_sink (Cluster.trace cluster) s;
+        Journal.attach_sink (Cluster.journal cluster) s;
         s)
       trace_jsonl
   in
@@ -336,7 +335,7 @@ let main nodes topology policy recovery ckpt_keep_all ancestor_depth inline_dept
   let wall_s = Unix.gettimeofday () -. wall_t0 in
   (match (jsonl_sink, trace_sample) with
   | Some s, Some k when k > 1 ->
-    Format.printf "trace-jsonl: kept %d of %d records (1-in-%d sampling)@."
+    Format.printf "trace-jsonl: kept %d of %d entries (1-in-%d sampling)@."
       (Sink.emitted s - Sink.dropped s)
       (Sink.emitted s) k
   | _ -> ());
@@ -372,13 +371,11 @@ let main nodes topology policy recovery ckpt_keep_all ancestor_depth inline_dept
   end;
   if show_journal then begin
     Format.printf "@.journal:@.";
-    List.iter
-      (fun e -> Format.printf "%a@." Journal.pp_entry e)
-      (Journal.entries (Cluster.journal cluster))
-  end;
-  if show_trace then begin
-    Format.printf "@.trace:@.";
-    Trace.dump ?limit:trace_limit Format.std_formatter (Cluster.trace cluster)
+    let entries = Journal.entries (Cluster.journal cluster) in
+    let skip =
+      match trace_limit with Some n -> List.length entries - n | None -> 0
+    in
+    List.iteri (fun i e -> if i >= skip then Format.printf "%a@." Journal.pp_entry e) entries
   end;
   Option.iter
     (fun (path, oc, base, stream) ->
@@ -508,15 +505,14 @@ let failures =
     & opt_all failure_conv []
     & info [ "fail" ] ~docv:"TIME@PROC" ~doc:"Fail-stop a processor (repeatable).")
 
-let show_journal = Arg.(value & flag & info [ "journal" ] ~doc:"Dump the lifecycle journal.")
-
-let show_trace = Arg.(value & flag & info [ "trace" ] ~doc:"Dump the protocol trace.")
+let show_journal =
+  Arg.(value & flag & info [ "journal"; "trace" ] ~doc:"Dump the lifecycle journal.")
 
 let trace_limit =
   Arg.(
     value
     & opt (some int) None
-    & info [ "trace-limit" ] ~docv:"N" ~doc:"With $(b,--trace): only the last $(docv) records.")
+    & info [ "trace-limit" ] ~docv:"N" ~doc:"With $(b,--journal): only the last $(docv) entries.")
 
 let show_stats = Arg.(value & flag & info [ "stats" ] ~doc:"Print counters and work totals.")
 
@@ -545,8 +541,8 @@ let trace_jsonl =
     & opt (some string) None
     & info [ "trace-jsonl" ] ~docv:"FILE"
         ~doc:
-          "Stream every protocol trace record to $(docv) as JSON lines while the run executes \
-           (unbounded, unlike the in-memory ring).")
+          "Stream every journal entry to $(docv) as JSON lines while the run executes, \
+           whether or not the journal retains it.")
 
 let trace_sample =
   Arg.(
@@ -554,8 +550,8 @@ let trace_sample =
     & opt (some int) None
     & info [ "trace-sample" ] ~docv:"N"
         ~doc:
-          "With $(b,--trace-jsonl): write only every $(docv)-th record (deterministic 1-in-N \
-           rate sampling); skipped records are counted, never silently lost.")
+          "With $(b,--trace-jsonl): write only every $(docv)-th entry (deterministic 1-in-N \
+           rate sampling); skipped entries are counted, never silently lost.")
 
 let profile =
   Arg.(
@@ -650,7 +646,7 @@ let cmd =
     Term.(
       const main $ nodes $ topology $ policy $ recovery $ ckpt_keep_all $ ancestor_depth
       $ inline_depth $ seed $ detect_delay $ workload $ size $ program_file $ entry $ args
-      $ failures $ show_journal $ show_trace $ trace_limit $ show_stats $ show_timeline $ drain
+      $ failures $ show_journal $ trace_limit $ show_stats $ show_timeline $ drain
       $ emit_trace $ metrics_json $ trace_jsonl $ trace_sample $ profile $ profile_json
       $ check_only $ check_json $ werror $ no_check $ serve $ requests $ arrival_mean
       $ service_replicas $ max_inflight $ shed_frac $ service_json $ explain_code $ loss_prior

@@ -5,7 +5,6 @@ module Value = Recflow_lang.Value
 module Graph = Recflow_lang.Graph
 module Eval_serial = Recflow_lang.Eval_serial
 module Engine = Recflow_sim.Engine
-module Trace = Recflow_sim.Trace
 module Rng = Recflow_sim.Rng
 module Counter = Recflow_stats.Counter
 module Hdr = Recflow_stats.Hdr
@@ -86,7 +85,6 @@ type t = {
   latency_tbl : (string, Hdr.t) Hashtbl.t;
       (** named duration histograms (net.rtt, task.sojourn, ...) — cluster
           local like [counters], so recording never crosses domains *)
-  trace : Trace.t;
   rng : Rng.t;
   policy : Policy.t;
   mutable next_task_id : Ids.task_id;
@@ -148,8 +146,6 @@ let record_latency t name v = Hdr.record (latency t name) v
 let latency_hists t =
   Hashtbl.fold (fun name h acc -> (name, h) :: acc) t.latency_tbl []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let trace t = t.trace
 
 let router t = t.router
 
@@ -248,10 +244,7 @@ let transmit t ~extra ~src ~dst ~seq msg =
     match Chaos.decide ch ~now:(now t) ~src ~dst with
     | Chaos.Drop reason ->
       Counter.incr t.counters "net.msg_dropped";
-      if reason = `Partition then Counter.incr t.counters "net.partition_dropped";
-      Trace.logf t.trace ~time:(now t) ~level:Trace.Debug ~tag:"chaos" "%s %s -> %s: %s"
-        (match reason with `Loss -> "lost" | `Partition -> "severed")
-        (Ids.proc_to_string src) (Ids.proc_to_string dst) (Message.label msg)
+      if reason = `Partition then Counter.incr t.counters "net.partition_dropped"
     | Chaos.Pass { extra_delays } ->
       List.iteri
         (fun i d ->
@@ -322,7 +315,6 @@ let inline_eval t fname args =
 let program_error t msg =
   if t.error = None then begin
     t.error <- Some msg;
-    Trace.log t.trace ~time:(now t) ~level:Trace.Error ~tag:"cluster" ("program error: " ^ msg);
     Engine.stop t.engine
   end
 
@@ -341,7 +333,6 @@ let build_ctx t : Node.ctx =
     inline_eval = inline_eval t;
     journal = t.journal;
     counters = t.counters;
-    trace = t.trace;
     record_latency = (fun name v -> record_latency t name v);
     program_error = program_error t;
   }
@@ -369,7 +360,6 @@ let create cfg program =
     journal = Journal.create ~retain:cfg.Config.journal_retain ();
     counters = Counter.create_set ();
     latency_tbl = Hashtbl.create 8;
-    trace = Trace.create ~capacity:cfg.Config.trace_capacity ();
     rng = Rng.create cfg.Config.seed;
     policy = Policy.create ~seed:cfg.Config.seed cfg.Config.policy;
     next_task_id = 0;
@@ -459,7 +449,7 @@ let dispatch_request t req ~reason =
   | None -> ()
   | Some packet -> (
     match Router.alive_nodes t.router with
-    | [] -> Trace.log t.trace ~time:(now t) ~level:Trace.Error ~tag:"SR" "no live processor for root"
+    | [] -> Counter.incr t.counters "root.unplaceable"
     | _ :: _ ->
       let task_id = fresh_task_id t () in
       let key = Stamp.hash packet.Packet.stamp + task_id in
@@ -534,8 +524,6 @@ let super_root_deliver t msg =
       if (not t.service) && t.answer = None then begin
         t.answer <- Some value;
         t.answer_time <- Some (now t);
-        Trace.logf t.trace ~time:(now t) ~level:Trace.Info ~tag:"SR" "answer: %s"
-          (Value.to_string value);
         if not t.drain then Engine.stop t.engine
       end)
   | Message.Result { stamp; value; target; relay = Message.To_grandparent { dead_parent }; _ }
@@ -640,8 +628,6 @@ let handle_fail t pid =
     Hashtbl.replace t.fail_times pid (now t);
     Counter.incr t.counters "failure.injected";
     Journal.record t.journal ~time:(now t) ~stamp:Stamp.root (Journal.Failure { proc = pid });
-    Trace.logf t.trace ~time:(now t) ~level:Trace.Warn ~tag:"cluster" "%s failed"
-      (Ids.proc_to_string pid);
     broadcast_failure t pid
   end
 
@@ -668,18 +654,8 @@ let give_up t seq p =
   let first_time = not (Hashtbl.mem t.suspected p.p_dst) in
   Hashtbl.replace t.suspected p.p_dst ();
   Counter.incr t.counters "net.suspected";
-  if p.p_dst >= 0 && Node.is_alive t.node_arr.(p.p_dst) then begin
+  if p.p_dst >= 0 && Node.is_alive t.node_arr.(p.p_dst) then
     Counter.incr t.counters "net.false_suspicion";
-    Trace.logf t.trace ~time:(now t) ~level:Trace.Warn ~tag:"suspect"
-      "%s suspects live %s (no ack in %d ticks): treating as faulty"
-      (Ids.proc_to_string p.p_src) (Ids.proc_to_string p.p_dst)
-      (now t - p.p_born)
-  end
-  else
-    Trace.logf t.trace ~time:(now t) ~level:Trace.Info ~tag:"suspect"
-      "%s suspects %s (no ack in %d ticks)" (Ids.proc_to_string p.p_src)
-      (Ids.proc_to_string p.p_dst)
-      (now t - p.p_born);
   (* First suspicion of this destination: tell the cluster, so every
      holder of a checkpoint filed under the suspect re-issues a twin and
      the views of who is dead stay convergent — a sender keeping its

@@ -127,8 +127,6 @@ val latency : t -> string -> Recflow_stats.Hdr.t
 val latency_hists : t -> (string * Recflow_stats.Hdr.t) list
 (** Every histogram touched so far, sorted by name. *)
 
-val trace : t -> Recflow_sim.Trace.t
-
 val router : t -> Recflow_net.Router.t
 
 val node : t -> Ids.proc_id -> Node.t

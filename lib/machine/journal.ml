@@ -1,5 +1,6 @@
 module Stamp = Recflow_recovery.Stamp
 module Ids = Recflow_recovery.Ids
+module Json = Recflow_obs_core.Json
 
 type event =
   | Spawned of { task : Ids.task_id; dest : Ids.proc_id; replica : int }
@@ -143,3 +144,30 @@ let pp_entry ppf e =
   in
   Format.fprintf ppf "[%8d] %-10s %-16s %s" e.time (Stamp.to_string e.stamp)
     (event_label e.event) detail
+
+let to_json_line e =
+  let int k v = (k, Json.Int v) in
+  let fields =
+    match e.event with
+    | Spawned { task; dest; replica } -> [ int "task" task; int "dest" dest; int "replica" replica ]
+    | Activated { task; proc } | Acked { task; proc } -> [ int "task" task; int "proc" proc ]
+    | Completed { task; proc; work } | Aborted { task; proc; work } | Lost { task; proc; work }
+      ->
+      [ int "task" task; int "proc" proc; int "work" work ]
+    | Inlined { parent_task; proc; work } ->
+      [ int "parent_task" parent_task; int "proc" proc; int "work" work ]
+    | Respawned { task; dest; reason } ->
+      [ int "task" task; int "dest" dest; ("reason", Json.Str reason) ]
+    | Inherited { orphan_task; proc } -> [ int "orphan_task" orphan_task; int "proc" proc ]
+    | Result_accepted { task } | Duplicate_ignored { task } | Orphan_dropped { task } ->
+      [ int "task" task ]
+    | Relayed { via } -> [ int "via" via ]
+    | Relay_dropped { at; reason } -> [ int "at" at; ("reason", Json.Str reason) ]
+    | Failure { proc } -> [ int "proc" proc ]
+  in
+  Json.to_string
+    (Json.Obj
+       (int "time" e.time
+       :: ("stamp", Json.Str (Stamp.to_string e.stamp))
+       :: ("event", Json.Str (event_label e.event))
+       :: fields))

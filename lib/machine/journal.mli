@@ -82,3 +82,8 @@ val last_time : t -> Stamp.t -> (event -> bool) -> int option
 val event_label : event -> string
 
 val pp_entry : Format.formatter -> entry -> unit
+
+val to_json_line : entry -> string
+(** One-line JSON object for a JSONL {!Recflow_obs_core.Sink.file}:
+    [time], [stamp] and [event] (its {!event_label}) first, then the
+    event's own fields by name. *)

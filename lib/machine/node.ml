@@ -6,7 +6,6 @@ module Vote = Recflow_recovery.Vote
 module Value = Recflow_lang.Value
 module Instance = Recflow_lang.Instance
 module Counter = Recflow_stats.Counter
-module Trace = Recflow_sim.Trace
 module Profile = Recflow_obs_core.Profile
 
 (* Checkpoint record/discharge run once per packet — hot enough that the
@@ -29,7 +28,6 @@ type ctx = {
   inline_eval : string -> Value.t array -> (Value.t * int, string) result;
   journal : Journal.t;
   counters : Counter.set;
-  trace : Trace.t;
   record_latency : string -> int -> unit;
       (* named duration histogram on the owning cluster (task.sojourn, ...) *)
   program_error : string -> unit;
@@ -366,10 +364,6 @@ let recount t =
 
 let resident_tasks t = t.arena_n - List.length t.free
 
-let tracef t ctx fmt =
-  Trace.logf ctx.trace ~time:(ctx.now ()) ~level:Trace.Debug
-    ~tag:(Ids.proc_to_string t.nid) fmt
-
 (* ------------------------------------------------------------------ *)
 (* CPU scheduling                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -665,8 +659,7 @@ let respawn_child t ctx _task (child : child) ~reason =
   child.dests <- !dests;
   child.ctasks <- !ctasks;
   if replicas > 1 then child.vote <- Some (Vote.create ~replicas ~equal:Value.equal);
-  Counter.incr ctx.counters "reissue.count";
-  tracef t ctx "reissued %s (%s)" (Stamp.to_string child.c_stamp) reason
+  Counter.incr ctx.counters "reissue.count"
 
 (* ------------------------------------------------------------------ *)
 (* Task completion and result forwarding                               *)
@@ -1219,9 +1212,7 @@ let deliver t ctx msg =
       match Hashtbl.find_opt t.tasks parent_task with
       | Some _ ->
         Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:child_stamp
-          (Journal.Acked { task = child_task; proc = child_proc });
-        tracef t ctx "ack for %s: task%d on %s" (Stamp.to_string child_stamp) child_task
-          (Ids.proc_to_string child_proc)
+          (Journal.Acked { task = child_task; proc = child_proc })
       | None -> Counter.incr ctx.counters "ack.ignored")
     | Message.Result { stamp; value; target; relay } -> (
       match lookup t target.Packet.task with

@@ -47,7 +47,6 @@ type ctx = {
   inline_eval : string -> Value.t array -> (Value.t * int, string) result;
   journal : Journal.t;
   counters : Recflow_stats.Counter.set;
-  trace : Recflow_sim.Trace.t;
   record_latency : string -> int -> unit;
       (** record a duration into the owning cluster's named
           {!Recflow_stats.Hdr} histogram (e.g. [task.sojourn]) *)

@@ -3,7 +3,6 @@ module Config = Recflow_machine.Config
 module Journal = Recflow_machine.Journal
 module Counter = Recflow_stats.Counter
 module Hdr = Recflow_stats.Hdr
-module Trace = Recflow_sim.Trace
 module Value = Recflow_lang.Value
 module Json = Recflow_obs_core.Json
 
@@ -87,7 +86,6 @@ let latency_json ~cluster ~episodes =
 let run_json ?workload ?size ?expected ~cluster ~outcome () =
   let journal = Cluster.journal cluster in
   let episodes = Episode.analyze journal in
-  let trace = Cluster.trace cluster in
   Json.Obj
     [
       ("schema", Json.Str schema);
@@ -99,12 +97,6 @@ let run_json ?workload ?size ?expected ~cluster ~outcome () =
         Json.Obj
           (List.map (fun (k, v) -> (k, Json.Int v)) (Counter.to_alist (Cluster.counters cluster)))
       );
-      ( "trace",
-        Json.Obj
-          [
-            ("logged", Json.Int (Trace.count trace));
-            ("retained", Json.Int (List.length (Trace.records trace)));
-          ] );
       ("latency", latency_json ~cluster ~episodes);
       ("journal_entries", Json.Int (Journal.length journal));
       ("episodes", Json.List (List.map Episode.to_json episodes));

@@ -9,9 +9,9 @@
       "outcome":  { answer, answer_time, sim_time, events, error,
                     total_work, total_waste, correct? },
       "counters": { "msg.sent": 1234, ... },
-      "trace":    { "logged": n, "retained": m },
       "latency":  { "net.rtt": { count, invalid, mean, min,
                                  p50, p90, p99, p999, max }, ... },
+      "journal_entries": n,
       "episodes": [ per-failure span, see {!Episode.to_json} ],
       "episode_summary": { detection/recovery latency summaries,
                            redone work, §4.1 case histogram } }

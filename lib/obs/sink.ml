@@ -76,53 +76,6 @@ let file ~render path =
   let oc = open_out path in
   make ~flush:(fun () -> Stdlib.flush oc) ~close:(fun () -> close_out oc) (line_writer ~render oc)
 
-module Ring = struct
-  type 'a ring = {
-    cap : int;
-    mutable buf : 'a array;
-    mutable start : int;  (* index of oldest value *)
-    mutable len : int;
-    mutable pushed : int;
-  }
-
-  let create ~capacity =
-    if capacity <= 0 then invalid_arg "Sink.Ring.create: capacity must be positive";
-    { cap = capacity; buf = [||]; start = 0; len = 0; pushed = 0 }
-
-  let push r x =
-    if Array.length r.buf = 0 then r.buf <- Array.make r.cap x;
-    if r.len < r.cap then begin
-      r.buf.((r.start + r.len) mod r.cap) <- x;
-      r.len <- r.len + 1
-    end
-    else begin
-      r.buf.(r.start) <- x;
-      r.start <- (r.start + 1) mod r.cap
-    end;
-    r.pushed <- r.pushed + 1
-
-  let to_list r =
-    let rec collect i acc =
-      if i < 0 then acc else collect (i - 1) (r.buf.((r.start + i) mod r.cap) :: acc)
-    in
-    collect (r.len - 1) []
-
-  let total r = r.pushed
-
-  let length r = r.len
-
-  let capacity r = r.cap
-
-  let clear r =
-    r.start <- 0;
-    r.len <- 0
-
-  let sink r =
-    make_self (fun self x ->
-        if r.len = r.cap then self.dropped <- self.dropped + 1;
-        push r x)
-end
-
 module Reservoir = struct
   type 'a res = {
     cap : int;

@@ -1,12 +1,11 @@
 (** Pluggable consumers for high-volume event streams.
 
-    A ['a t] is anywhere a producer can push values of type ['a]: a bounded
-    in-memory ring (the classic trace buffer), a line-oriented file stream
-    (JSONL — million-event runs go to disk instead of silently evicting),
-    a tee duplicating into two sinks, a plain callback, or nothing at all.
-    {!Recflow_sim.Trace} keeps its ring on this abstraction and lets
-    callers attach extra sinks; the CLI wires a JSONL file sink behind
-    [--trace-jsonl]. *)
+    A ['a t] is anywhere a producer can push values of type ['a]: a
+    line-oriented file stream (JSONL — million-event runs go to disk
+    instead of being held in memory), a seeded reservoir, a tee
+    duplicating into two sinks, a plain callback, or nothing at all.
+    [Recflow_machine.Journal.attach_sink] streams journal entries into
+    one; the CLI wires a JSONL file sink behind [--trace-jsonl]. *)
 
 type 'a t
 
@@ -23,8 +22,7 @@ val emitted : 'a t -> int
 
 val dropped : 'a t -> int
 (** Values this sink decided not to keep or forward: emits into a closed
-    sink, values a {!sample} wrapper skipped, ring evictions, reservoir
-    rejections.  Nothing is ever lost without moving this count. *)
+    sink, values a {!sample} wrapper skipped, reservoir rejections.  Nothing is ever lost without moving this count. *)
 
 val null : unit -> 'a t
 (** Discards everything (still counts {!emitted}). *)
@@ -49,35 +47,6 @@ val file : render:('a -> string) -> string -> 'a t
 (** Like {!channel} but opens (truncates) [path] and owns it: {!close}
     closes the file descriptor.
     @raise Sys_error if the file cannot be created. *)
-
-(** Bounded ring buffer retaining the most recent [capacity] values,
-    with a monotone count of everything ever pushed. *)
-module Ring : sig
-  type 'a ring
-
-  val create : capacity:int -> 'a ring
-  (** @raise Invalid_argument if [capacity <= 0]. *)
-
-  val push : 'a ring -> 'a -> unit
-
-  val to_list : 'a ring -> 'a list
-  (** Retained values, oldest first. *)
-
-  val total : 'a ring -> int
-  (** Everything ever pushed, including evicted values. *)
-
-  val length : 'a ring -> int
-  (** Currently retained (at most [capacity]). *)
-
-  val capacity : 'a ring -> int
-
-  val clear : 'a ring -> unit
-  (** Drops the retained values; {!total} is monotone and keeps counting. *)
-
-  val sink : 'a ring -> 'a t
-  (** View the ring as a sink ({!push} on emit); each eviction of an old
-      value counts in the sink's {!dropped}. *)
-end
 
 (** Seeded reservoir sampling (Algorithm R): retains a uniform random
     sample of bounded size from a stream of unknown length, using its own

@@ -61,8 +61,6 @@ let now t = t.clock
 
 let pending t = t.size
 
-let next_time t = if t.size = 0 then None else Some (Array.unsafe_get t.keys 0 lsr seq_bits)
-
 let grow t =
   let cap = Array.length t.keys in
   if t.size = cap then begin

@@ -18,7 +18,7 @@ let experiment_case (e : Registry.entry) =
         r.Report.checks)
 
 let registry_sanity () =
-  check_int "21 experiments" 21 (List.length Registry.all);
+  check_int "20 experiments" 20 (List.length Registry.all);
   check "find is case-insensitive" true (Registry.find "f1" <> None);
   check "unknown id" true (Registry.find "Z9" = None);
   let ids = Registry.ids in

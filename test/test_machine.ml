@@ -279,6 +279,15 @@ let program_error_surfaces () =
   | Some msg -> check "division reported" true (String.length msg > 0)
   | None -> Alcotest.fail "error not surfaced"
 
+let root_unplaceable () =
+  (* Both processors die: the super-root's re-dispatch of the root from
+     its retained checkpoint finds no live processor and must say so. *)
+  let cfg = { (Config.default ~nodes:2) with Config.recovery = Config.Rollback } in
+  let c, o = run ~cfg ~failures:[ (10, 0); (10, 1) ] Workload.fib Workload.Small in
+  check "no answer" true (o.Cluster.answer = None);
+  check "unplaceable root counted" true
+    (Counter.get (Cluster.counters c) "root.unplaceable" >= 1)
+
 let start_validation () =
   let p = Recflow_lang.Parser.parse_program_exn "def f(x) = x" in
   let c = Cluster.create (Config.default ~nodes:2) p in
@@ -548,6 +557,7 @@ let suites =
         Alcotest.test_case "determinism" `Quick determinism;
         Alcotest.test_case "seed sensitivity" `Quick seed_changes_schedule;
         Alcotest.test_case "program error" `Quick program_error_surfaces;
+        Alcotest.test_case "root unplaceable" `Quick root_unplaceable;
         Alcotest.test_case "start validation" `Quick start_validation;
         Alcotest.test_case "config validation" `Quick config_validation;
         Alcotest.test_case "horizon" `Quick horizon_stops;

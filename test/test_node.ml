@@ -74,7 +74,6 @@ let make_world ?(config = Config.default ~nodes:4) ?(dest = 1) ~node_id () =
                | exception Recflow_lang.Eval_serial.Runtime_error m -> Error m);
            journal;
            counters;
-           trace = Recflow_sim.Trace.create ~capacity:256 ();
            record_latency = (fun _ _ -> ());
            program_error = (fun m -> errors := m :: !errors);
          }

@@ -3,7 +3,6 @@
 module Rng = Recflow_sim.Rng
 module Heap = Recflow_sim.Heap
 module Engine = Recflow_sim.Engine
-module Trace = Recflow_sim.Trace
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -326,49 +325,6 @@ let engine_time_range_guard () =
   | Some (at, "far") -> check_int "far event dispatched" ((1 lsl 34) - 1) at
   | _ -> Alcotest.fail "far event lost"
 
-(* ---------------- Trace ---------------- *)
-
-let trace_basic () =
-  let t = Trace.create ~capacity:10 () in
-  Trace.log t ~time:1 ~level:Trace.Info ~tag:"a" "hello";
-  Trace.logf t ~time:2 ~level:Trace.Warn ~tag:"b" "x=%d" 42;
-  check_int "count" 2 (Trace.count t);
-  match Trace.records t with
-  | [ r1; r2 ] ->
-    Alcotest.(check string) "msg 1" "hello" r1.Trace.message;
-    Alcotest.(check string) "msg 2" "x=42" r2.Trace.message
-  | _ -> Alcotest.fail "expected two records"
-
-let trace_ring_eviction () =
-  let t = Trace.create ~capacity:3 () in
-  for i = 1 to 5 do
-    Trace.log t ~time:i ~level:Trace.Debug ~tag:"t" (string_of_int i)
-  done;
-  check_int "total count includes evicted" 5 (Trace.count t);
-  Alcotest.(check (list string)) "last three retained" [ "3"; "4"; "5" ]
-    (List.map (fun r -> r.Trace.message) (Trace.records t))
-
-let trace_find_by_tag () =
-  let t = Trace.create () in
-  Trace.log t ~time:1 ~level:Trace.Info ~tag:"x" "one";
-  Trace.log t ~time:2 ~level:Trace.Info ~tag:"y" "two";
-  Trace.log t ~time:3 ~level:Trace.Info ~tag:"x" "three";
-  Alcotest.(check (list string)) "find x" [ "one"; "three" ]
-    (List.map (fun r -> r.Trace.message) (Trace.find t ~tag:"x"))
-
-let trace_clear () =
-  let t = Trace.create () in
-  Trace.log t ~time:1 ~level:Trace.Info ~tag:"x" "one";
-  Trace.clear t;
-  check_int "records dropped" 0 (List.length (Trace.records t))
-
-let trace_capacity_invalid () =
-  check "capacity 0 rejected" true
-    (try
-       ignore (Trace.create ~capacity:0 ());
-       false
-     with Invalid_argument _ -> true)
-
 let suites =
   [
     ( "sim.rng",
@@ -412,13 +368,5 @@ let suites =
         Alcotest.test_case "handler schedules" `Quick engine_handler_schedules;
         Alcotest.test_case "drain fast loop" `Quick engine_drain_fast_loop;
         Alcotest.test_case "packed time range guard" `Quick engine_time_range_guard;
-      ] );
-    ( "sim.trace",
-      [
-        Alcotest.test_case "basic" `Quick trace_basic;
-        Alcotest.test_case "ring eviction" `Quick trace_ring_eviction;
-        Alcotest.test_case "find by tag" `Quick trace_find_by_tag;
-        Alcotest.test_case "clear" `Quick trace_clear;
-        Alcotest.test_case "capacity invalid" `Quick trace_capacity_invalid;
       ] );
   ]

@@ -1,55 +1,12 @@
-(* Tests for the event-sink abstraction and the ring-backed trace buffer. *)
+(* Tests for the event-sink abstraction and the journal's JSONL rendering. *)
 
-module Trace = Recflow_sim.Trace
+module Journal = Recflow_machine.Journal
+module Stamp = Recflow_recovery.Stamp
 module Sink = Recflow_obs_core.Sink
 module Json = Recflow_obs_core.Json
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
-
-(* ---------------- Sink.Ring ---------------- *)
-
-let ring_basic () =
-  let r = Sink.Ring.create ~capacity:4 in
-  check_int "empty length" 0 (Sink.Ring.length r);
-  check_int "empty total" 0 (Sink.Ring.total r);
-  List.iter (Sink.Ring.push r) [ 1; 2; 3 ];
-  check "order is oldest first" true (Sink.Ring.to_list r = [ 1; 2; 3 ]);
-  check_int "capacity" 4 (Sink.Ring.capacity r)
-
-let ring_eviction_wraparound () =
-  let r = Sink.Ring.create ~capacity:3 in
-  for i = 1 to 10 do
-    Sink.Ring.push r i
-  done;
-  check_int "total counts evicted values" 10 (Sink.Ring.total r);
-  check_int "length capped at capacity" 3 (Sink.Ring.length r);
-  check "retains the newest, oldest first" true (Sink.Ring.to_list r = [ 8; 9; 10 ]);
-  (* keep wrapping: the window slides *)
-  Sink.Ring.push r 11;
-  check "window slides" true (Sink.Ring.to_list r = [ 9; 10; 11 ])
-
-let ring_clear_keeps_total () =
-  let r = Sink.Ring.create ~capacity:2 in
-  List.iter (Sink.Ring.push r) [ 1; 2; 3 ];
-  Sink.Ring.clear r;
-  check_int "cleared" 0 (Sink.Ring.length r);
-  check_int "total is monotone" 3 (Sink.Ring.total r);
-  Sink.Ring.push r 4;
-  check "usable after clear" true (Sink.Ring.to_list r = [ 4 ]);
-  check_int "total keeps counting" 4 (Sink.Ring.total r)
-
-let ring_invalid_capacity () =
-  Alcotest.check_raises "capacity 0"
-    (Invalid_argument "Sink.Ring.create: capacity must be positive") (fun () ->
-      ignore (Sink.Ring.create ~capacity:0))
-
-let ring_as_sink () =
-  let r = Sink.Ring.create ~capacity:8 in
-  let s = Sink.Ring.sink r in
-  List.iter (Sink.emit s) [ "a"; "b" ];
-  check "sink pushes into the ring" true (Sink.Ring.to_list r = [ "a"; "b" ]);
-  check_int "emitted" 2 (Sink.emitted s)
 
 (* ---------------- Sink variants ---------------- *)
 
@@ -90,73 +47,64 @@ let sink_file_jsonl () =
   Sys.remove path;
   check "one line per value" true (lines = [ "10"; "20"; "30" ])
 
-(* ---------------- Trace on top of the ring ---------------- *)
+(* ---------------- Journal entries as JSON lines ---------------- *)
 
-let log t time msg = Trace.log t ~time ~level:Trace.Info ~tag:"test" msg
+let parse_line e =
+  match Json.parse (Journal.to_json_line e) with
+  | Ok j -> j
+  | Error err -> Alcotest.failf "unparsable line: %s" err
 
-let trace_count_vs_records () =
-  let t = Trace.create ~capacity:5 () in
-  for i = 1 to 12 do
-    log t i (Printf.sprintf "r%d" i)
-  done;
-  check_int "count includes evicted records" 12 (Trace.count t);
-  check_int "records is capped at capacity" 5 (List.length (Trace.records t));
-  check "newest retained, oldest first" true
-    (List.map (fun (r : Trace.record) -> r.Trace.message) (Trace.records t)
-    = [ "r8"; "r9"; "r10"; "r11"; "r12" ])
+let journal_json_line () =
+  List.iter
+    (fun event ->
+      let j = parse_line { Journal.time = 42; stamp = Stamp.child Stamp.root 3; event } in
+      check "time" true (Option.bind (Json.member "time" j) Json.int = Some 42);
+      check "stamp" true (Option.bind (Json.member "stamp" j) Json.str = Some "3");
+      check "reason round-trips escaping" true
+        (Option.bind (Json.member "reason" j) Json.str = Some "bad \"thing\""))
+    [
+      Journal.Respawned { task = 7; dest = 2; reason = "bad \"thing\"" };
+      Journal.Relay_dropped { at = 1; reason = "bad \"thing\"" };
+    ]
 
-let trace_find_after_eviction () =
-  let t = Trace.create ~capacity:3 () in
-  Trace.log t ~time:1 ~level:Trace.Info ~tag:"wanted" "early";
-  for i = 2 to 5 do
-    log t i "filler"
-  done;
-  Trace.log t ~time:6 ~level:Trace.Warn ~tag:"wanted" "late";
-  check "evicted records are not found" true
-    (List.map (fun (r : Trace.record) -> r.Trace.message) (Trace.find t ~tag:"wanted")
-    = [ "late" ]);
-  Trace.clear t;
-  check_int "find after clear" 0 (List.length (Trace.find t ~tag:"wanted"));
-  check_int "count survives clear" 6 (Trace.count t)
+(* One value of every constructor.  [to_json_line] matches exhaustively,
+   so a new event cannot go unrendered; it must still be listed here. *)
+let every_event =
+  [
+    Journal.Spawned { task = 1; dest = 2; replica = 1 };
+    Journal.Activated { task = 1; proc = 2 };
+    Journal.Acked { task = 1; proc = 2 };
+    Journal.Completed { task = 1; proc = 2; work = 30 };
+    Journal.Inlined { parent_task = 1; proc = 2; work = 5 };
+    Journal.Aborted { task = 1; proc = 2; work = 4 };
+    Journal.Lost { task = 1; proc = 2; work = 9 };
+    Journal.Respawned { task = 3; dest = 0; reason = "notice" };
+    Journal.Inherited { orphan_task = 1; proc = 2 };
+    Journal.Result_accepted { task = 1 };
+    Journal.Duplicate_ignored { task = 1 };
+    Journal.Relayed { via = 0 };
+    Journal.Relay_dropped { at = 0; reason = "dead" };
+    Journal.Orphan_dropped { task = 1 };
+    Journal.Failure { proc = 2 };
+  ]
 
-let trace_attach_sink () =
-  let t = Trace.create ~capacity:2 () in
-  let seen = ref [] in
-  Trace.attach_sink t (Sink.of_fun (fun (r : Trace.record) -> seen := r.Trace.message :: !seen));
-  let seen2 = ref 0 in
-  (* a second attach tees rather than replacing *)
-  Trace.attach_sink t (Sink.of_fun (fun _ -> incr seen2));
-  for i = 1 to 4 do
-    log t i (Printf.sprintf "m%d" i)
-  done;
-  check "sink saw every record, even evicted ones" true
-    (List.rev !seen = [ "m1"; "m2"; "m3"; "m4" ]);
-  check_int "teed sink too" 4 !seen2;
-  check_int "ring still capped" 2 (List.length (Trace.records t))
-
-let trace_json_line () =
-  let t = Trace.create () in
-  Trace.log t ~time:42 ~level:Trace.Error ~tag:"node" "bad \"thing\"";
-  let r = List.hd (Trace.records t) in
-  match Json.parse (Trace.to_json_line r) with
-  | Error e -> Alcotest.failf "unparsable line: %s" e
-  | Ok j ->
-    let field name = Json.member name j in
-    check "ts" true (Option.bind (field "ts") Json.int = Some 42);
-    check "level" true (Option.bind (field "level") Json.str = Some "ERROR");
-    check "msg round-trips escaping" true
-      (Option.bind (field "msg") Json.str = Some "bad \"thing\"")
+let journal_json_every_event () =
+  check_int "one sample per constructor" 15
+    (List.length (List.sort_uniq compare (List.map Journal.event_label every_event)));
+  List.iter
+    (fun event ->
+      let label = Journal.event_label event in
+      match parse_line { Journal.time = 5; stamp = Stamp.root; event } with
+      | Json.Obj _ as j ->
+        check (label ^ " time") true (Option.bind (Json.member "time" j) Json.int = Some 5);
+        check (label ^ " stamp") true (Option.bind (Json.member "stamp" j) Json.str <> None);
+        check (label ^ " event") true
+          (Option.bind (Json.member "event" j) Json.str = Some label)
+      | _ -> Alcotest.failf "%s: not an object" label)
+    every_event
 
 let suites =
   [
-    ( "obs.ring",
-      [
-        Alcotest.test_case "basics" `Quick ring_basic;
-        Alcotest.test_case "eviction wraparound" `Quick ring_eviction_wraparound;
-        Alcotest.test_case "clear keeps total" `Quick ring_clear_keeps_total;
-        Alcotest.test_case "invalid capacity" `Quick ring_invalid_capacity;
-        Alcotest.test_case "as sink" `Quick ring_as_sink;
-      ] );
     ( "obs.sink",
       [
         Alcotest.test_case "null" `Quick sink_null;
@@ -164,11 +112,9 @@ let suites =
         Alcotest.test_case "tee" `Quick sink_tee;
         Alcotest.test_case "file jsonl" `Quick sink_file_jsonl;
       ] );
-    ( "sim.trace_ring",
+    ( "journal.jsonl",
       [
-        Alcotest.test_case "count vs records" `Quick trace_count_vs_records;
-        Alcotest.test_case "find after eviction" `Quick trace_find_after_eviction;
-        Alcotest.test_case "attach sink" `Quick trace_attach_sink;
-        Alcotest.test_case "json line" `Quick trace_json_line;
+        Alcotest.test_case "json line escaping" `Quick journal_json_line;
+        Alcotest.test_case "every event renders" `Quick journal_json_every_event;
       ] );
   ]
