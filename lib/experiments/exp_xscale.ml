@@ -7,6 +7,29 @@ module Counter = Recflow_stats.Counter
 module Table = Recflow_stats.Table
 module Value = Recflow_lang.Value
 
+type probe = { cpu_s : float; peak_heap_words : int; allocated_words : int }
+
+(* Peak heap size sampled at every major-GC slice — an upper bound on peak
+   live words that costs one [Gc.quick_stat] per slice instead of a heap
+   walk — plus CPU seconds and words allocated while [f] ran. *)
+let probe f =
+  Gc.compact ();
+  let peak = ref (Gc.quick_stat ()).Gc.heap_words in
+  let alarm =
+    Gc.create_alarm (fun () ->
+        let h = (Gc.quick_stat ()).Gc.heap_words in
+        if h > !peak then peak := h)
+  in
+  let a0 = Gc.allocated_bytes () in
+  let t0 = Sys.time () in
+  let r = f () in
+  let cpu_s = Sys.time () -. t0 in
+  let allocated_words = int_of_float ((Gc.allocated_bytes () -. a0) /. 8.0) in
+  Gc.delete_alarm alarm;
+  let h = (Gc.quick_stat ()).Gc.heap_words in
+  if h > !peak then peak := h;
+  (r, { cpu_s; peak_heap_words = !peak; allocated_words })
+
 type point = {
   procs : int;
   depth : int;
@@ -15,88 +38,59 @@ type point = {
   events : int;
   residual : int;  (* arena-resident tasks after quiescence (must be 0) *)
   correct : bool;
-  (* Wall-clock-derived numbers exist only in the full run: quick mode is
-     part of the --jobs determinism gate, so its report must not contain
-     anything the host machine can perturb. *)
-  cpu_s : float;
-  peak_heap_words : int;
+  (* Host-derived numbers: quick mode is part of the --jobs determinism
+     gate, so its report must not print anything the host can perturb. *)
+  cost : probe;
 }
 
-(* Peak heap size sampled at every major-GC slice — an upper bound on peak
-   live words that costs one [Gc.quick_stat] per slice instead of a heap
-   walk.  Returns (result, cpu_seconds, peak_heap_words). *)
-let probe_peak f =
-  Gc.compact ();
-  let peak = ref (Gc.quick_stat ()).Gc.heap_words in
-  let alarm =
-    Gc.create_alarm (fun () ->
-        let h = (Gc.quick_stat ()).Gc.heap_words in
-        if h > !peak then peak := h)
+(* (processors, tree depth): distributed tasks = 2^depth - 1 once the leaf
+   level is inlined.  The full grid tops out at 1024 processors and a
+   >= 1M-task tree; quick keeps the same shape at toy sizes. *)
+let grid ~quick = if quick then [ (16, 8); (64, 10) ] else [ (64, 14); (256, 17); (1024, 20) ]
+
+let run_point ~procs ~depth =
+  let grain = 20 in
+  let w = Workload.synthetic ~branching:2 ~depth ~grain in
+  let cfg =
+    {
+      (Config.default ~nodes:procs) with
+      Config.policy = Recflow_balance.Policy.Static_hash;
+      inline_depth = depth;
+      journal_retain = false;
+    }
   in
-  let t0 = Sys.time () in
-  let r = f () in
-  let dt = Sys.time () -. t0 in
-  Gc.delete_alarm alarm;
-  let h = (Gc.quick_stat ()).Gc.heap_words in
-  if h > !peak then peak := h;
-  (r, dt, !peak)
+  (* Driven directly rather than through [Harness.probe]: the million-call
+     tree of the big row is beyond the serial evaluator's fuel, and the
+     synthetic answer is known in closed form anyway — 2^depth leaves of
+     [grain] each. *)
+  let (c, o), cost =
+    probe (fun () ->
+        let c = Cluster.create cfg (Workload.program w) in
+        Cluster.start c ~fname:w.Workload.entry ~args:(w.Workload.args Workload.Medium);
+        let o = Cluster.run c in
+        ignore (Oracle.assert_ok c);
+        (c, o))
+  in
+  {
+    procs;
+    depth;
+    tasks = 1 + Counter.get (Cluster.counters c) "spawn.remote";
+    makespan = (match o.Cluster.answer_time with Some t -> t | None -> o.Cluster.sim_time);
+    events = o.Cluster.events;
+    residual = List.fold_left (fun acc n -> acc + Node.resident_tasks n) 0 (Cluster.nodes c);
+    correct = o.Cluster.answer = Some (Value.Int (grain * (1 lsl depth)));
+    cost;
+  }
 
 let run ?(quick = false) () =
-  (* (processors, tree depth): distributed tasks = 2^depth - 1 once the
-     leaf level is inlined.  The full grid tops out at 1024 processors and
-     a >= 1M-task tree; quick keeps the same shape at toy sizes. *)
-  let grid = if quick then [ (16, 8); (64, 10) ] else [ (64, 14); (256, 17); (1024, 20) ] in
-  let points =
-    (* Sequential on purpose: the Gc probe of each row must not see
-       another row's allocation, and the big rows dwarf the small ones
-       anyway.  Sequential is also trivially identical at any --jobs. *)
-    List.map
-      (fun (procs, depth) ->
-        let grain = 20 in
-        let w = Workload.synthetic ~branching:2 ~depth ~grain in
-        let cfg =
-          {
-            (Config.default ~nodes:procs) with
-            Config.policy = Recflow_balance.Policy.Static_hash;
-            inline_depth = depth;
-            batched_delivery = true;
-            journal_retain = false;
-          }
-        in
-        (* Driven directly rather than through [Harness.probe]: the
-           million-call tree of the big row is beyond the serial
-           evaluator's fuel, and the synthetic answer is known in closed
-           form anyway — 2^depth leaves of [grain] each. *)
-        let (c, o), cpu_s, peak_heap_words =
-          probe_peak (fun () ->
-              let c = Cluster.create cfg (Workload.program w) in
-              Cluster.start c ~fname:w.Workload.entry ~args:(w.Workload.args Workload.Medium);
-              let o = Cluster.run c in
-              ignore (Oracle.assert_ok c);
-              (c, o))
-        in
-        let tasks = 1 + Counter.get (Cluster.counters c) "spawn.remote" in
-        let residual =
-          List.fold_left (fun acc n -> acc + Node.resident_tasks n) 0 (Cluster.nodes c)
-        in
-        {
-          procs;
-          depth;
-          tasks;
-          makespan = (match o.Cluster.answer_time with Some t -> t | None -> o.Cluster.sim_time);
-          events = o.Cluster.events;
-          residual;
-          correct = o.Cluster.answer = Some (Value.Int (grain * (1 lsl depth)));
-          cpu_s;
-          peak_heap_words;
-        })
-      grid
-  in
+  (* Sequential on purpose: the Gc probe of each row must not see another
+     row's allocation, and the big rows dwarf the small ones anyway.
+     Sequential is also trivially identical at any --jobs. *)
+  let points = List.map (fun (procs, depth) -> run_point ~procs ~depth) (grid ~quick) in
   let table =
     Table.create
       ~title:
-        "Scale sweep: arena storage + batched delivery + O(1) journal (static placement, \
-         fault-free)"
+        "Scale sweep: arena storage + O(1) journal (static placement, fault-free)"
       ~columns:
         [ "processors"; "tree depth"; "tasks"; "makespan"; "events"; "events/task";
           "peak heap (Mw)"; "cpu (s)"; "events/s"; "answer ok" ]
@@ -112,10 +106,10 @@ let run ?(quick = false) () =
           Harness.c_int p.events;
           Printf.sprintf "%.1f" (float_of_int p.events /. float_of_int p.tasks);
           (if quick then "-"
-           else Printf.sprintf "%.1f" (float_of_int p.peak_heap_words /. 1e6));
-          (if quick then "-" else Printf.sprintf "%.1f" p.cpu_s);
+           else Printf.sprintf "%.1f" (float_of_int p.cost.peak_heap_words /. 1e6));
+          (if quick then "-" else Printf.sprintf "%.1f" p.cost.cpu_s);
           (if quick then "-"
-           else Printf.sprintf "%.0f" (float_of_int p.events /. max 0.001 p.cpu_s));
+           else Printf.sprintf "%.0f" (float_of_int p.events /. max 0.001 p.cost.cpu_s));
           Harness.c_bool p.correct;
         ])
     points;
@@ -139,15 +133,15 @@ let run ?(quick = false) () =
       [
         ( "peak heap stays under 1000 words per task (+64Mw floor)",
           List.for_all
-            (fun p -> p.peak_heap_words < (1000 * p.tasks) + 64_000_000)
+            (fun p -> p.cost.peak_heap_words < (1000 * p.tasks) + 64_000_000)
             points );
       ]
   in
   Report.make ~id:"X8" ~title:"Scale: 1024 processors, a million-task tree"
     ~paper_source:"§1 (aggregation of processors); §3.3 (dynamic allocation at scale)"
     ~notes:
-      [ "Tasks live in per-node arenas and retire to tombstones on completion; deliveries \
-         coalesce per destination tick; the journal streams without retention.  Wall-clock \
+      [ "Tasks live in per-node arenas and retire to tombstones on completion; every \
+         message is its own delivery event; the journal streams without retention.  CPU \
          and heap columns are suppressed in quick mode so the report stays bit-identical \
          across --jobs." ]
     ~checks [ table ]

@@ -20,10 +20,6 @@ type event =
       (** [seq >= 0] marks a reliable (tracked, retransmitted) send *)
   | Tack of { seq : int }  (** transport ack arriving back at the sender *)
   | Retry of { seq : int }  (** retransmission timer for a reliable send *)
-  | Batch of { key : int; dst : Ids.proc_id }
-      (** batched delivery: one event standing for every same-tick message
-          bound for [dst]; the payloads sit in the cluster's batch buffer
-          under [key] until this fires *)
   | Bounce of { src : Ids.proc_id; dead : Ids.proc_id; msg : Message.t }
   | Step of Ids.proc_id
   | Fail of Ids.proc_id
@@ -117,11 +113,6 @@ type t = {
           from [subject] reached [observer]; the suspicion detector fires
           only on a destination silent for the whole window, not on one
           unlucky send *)
-  batches : (int, (Ids.proc_id * Message.t * int) list ref) Hashtbl.t;
-      (** [Config.batched_delivery] buffers: arrival-tick × destination →
-          (src, msg, seq) payloads in reverse send order, drained by the
-          matching [Batch] event.  Latency and chaos draws already
-          happened per message at send time, so seeds stay stable. *)
   mutable node_ctx : Node.ctx option;
       (* built once on first use: rebuilding ~14 closures per dispatched
          event shows up at millions of events *)
@@ -209,23 +200,6 @@ let hops t ~src ~dst =
     | Some h -> h
     | None -> Topology.ideal_distance (Router.topology t.router) src dst
 
-(* Under batched delivery, all messages reaching [dst] at the same tick
-   share one simulator event: the first one schedules it and the rest only
-   append to the buffer.  The per-message latency/chaos draws above this
-   point are untouched, so the RNG streams — and with them every placement
-   decision — are the same as in an unbatched run. *)
-let schedule_delivery t ~delay ~src ~dst ~seq msg =
-  if t.cfg.Config.batched_delivery then begin
-    let at = now t + delay in
-    let key = (at * (Array.length t.node_arr + 2)) + (dst + 2) in
-    match Hashtbl.find_opt t.batches key with
-    | Some items -> items := (src, msg, seq) :: !items
-    | None ->
-      Hashtbl.add t.batches key (ref [ (src, msg, seq) ]);
-      Engine.schedule t.engine ~delay (Batch { key; dst })
-  end
-  else Engine.schedule t.engine ~delay (Deliver { src; dst; msg; seq })
-
 (* Transmit one message (or retransmission): wire latency plus, when a
    chaos instance is armed, the perturbation verdict — drop it, or deliver
    one or more copies with extra delay. *)
@@ -236,7 +210,7 @@ let transmit t ~extra ~src ~dst ~seq msg =
       + Latency.delay ~rng:(fun bound -> Rng.int t.rng bound) t.cfg.Config.latency
           ~hops:(hops t ~src ~dst)
     in
-    schedule_delivery t ~delay ~src ~dst ~seq msg
+    Engine.schedule t.engine ~delay (Deliver { src; dst; msg; seq })
   in
   match t.chaos with
   | None -> copy 0
@@ -401,7 +375,6 @@ let create cfg program =
     seen_seqs = Hashtbl.create 256;
     suspected = Hashtbl.create 4;
     last_heard = Hashtbl.create 64;
-    batches = Hashtbl.create 64;
     node_ctx = None;
   }
 
@@ -711,7 +684,7 @@ let transport_accept t ~src ~dst ~seq =
   end
 
 (* Process one physically arrived message — the body of the [Deliver]
-   event, shared with the batched path so both deliver identically. *)
+   event. *)
 let deliver_one t ~src ~dst ~seq msg =
     (* any arrival is evidence the sender is alive and reachable *)
     if src <> dst then Hashtbl.replace t.last_heard (dst, src) (now t);
@@ -772,14 +745,6 @@ let deliver_one t ~src ~dst ~seq msg =
 let handle_event t _at ev =
   match ev with
   | Deliver { src; dst; msg; seq } -> deliver_one t ~src ~dst ~seq msg
-  | Batch { key; dst } -> (
-    match Hashtbl.find_opt t.batches key with
-    | None -> ()
-    | Some items ->
-      (* detach first: a handler may send again toward [dst] at this very
-         tick, which must open a fresh batch behind this one *)
-      Hashtbl.remove t.batches key;
-      List.iter (fun (src, msg, seq) -> deliver_one t ~src ~dst ~seq msg) (List.rev !items))
   | Tack { seq } -> (
     match Hashtbl.find_opt t.pending_sends seq with
     | Some p ->

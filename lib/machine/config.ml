@@ -52,7 +52,6 @@ type t = {
   reliable : bool;
   retry : retry;
   service : service;
-  batched_delivery : bool;
   journal_retain : bool;
 }
 
@@ -82,7 +81,6 @@ let default ~nodes =
     retry = { rto = 150; backoff = 2.0; suspicion_after = 1500 };
     service =
       { arrival_mean = 400.0; replicas = 1; max_inflight = 64; shed_suspect_frac = 0.5 };
-    batched_delivery = false;
     journal_retain = true;
   }
 
@@ -124,7 +122,6 @@ let metadata t : (string * meta_value) list =
     ("service_replicas", `Int t.service.replicas);
     ("service_max_inflight", `Int t.service.max_inflight);
     ("service_shed_suspect_frac", `Str (Printf.sprintf "%g" t.service.shed_suspect_frac));
-    ("batched_delivery", `Bool t.batched_delivery);
     ("journal_retain", `Bool t.journal_retain);
   ]
 

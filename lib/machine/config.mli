@@ -117,15 +117,6 @@ type t = {
   service : service;
       (** open-loop traffic model (only used by [Recflow_service]; batch
           runs ignore it) *)
-  batched_delivery : bool;
-      (** coalesce same-destination same-arrival-tick message deliveries
-          into one simulator event carrying the whole batch.  Per-edge
-          FIFO order and every per-message latency/chaos/transport draw
-          are preserved, but coalesced messages are processed at the
-          batch's queue position instead of their individual ones, so
-          event interleaving — and hence the journal — can differ from an
-          unbatched run.  Off by default; the scale experiments turn it
-          on and carry their own golden digests. *)
   journal_retain : bool;
       (** keep every journal entry in memory (the default).  Scale runs
           with millions of tasks turn this off: entries still stream to

@@ -11,7 +11,7 @@
    events), because [seq] occupies the low [seq_bits] bits and is strictly
    monotone.  The packable ranges — times up to 2^34 ticks (hours of
    simulated microseconds) and 2^28 events per engine (the X8 scale sweep
-   pushes past 2^26 even with batched delivery) — are orders of magnitude
+   pushes past 2^26) — are orders of magnitude
    above anything else the experiments reach and are enforced with
    [invalid_arg] rather than silent wraparound.
 

@@ -26,10 +26,14 @@ let qtest = QCheck_alcotest.to_alcotest
 
 exception Stuck of string
 
+(* Evaluation steps (one per expression node) the oracle takes before it
+   gives up with [Stuck "fuel"]. *)
+let fuel_limit = 5_000_000
+
 (* (max call depth below the entry, total activations incl. the entry);
    mirrors Eval_serial's strict semantics via the same Builtins table *)
 let measure program fname args =
-  let maxd = ref 0 and calls = ref 1 and fuel = ref 5_000_000 in
+  let maxd = ref 0 and calls = ref 1 and fuel = ref fuel_limit in
   let tick () =
     decr fuel;
     if !fuel <= 0 then raise (Stuck "fuel")
@@ -99,6 +103,28 @@ let sound_for ~src ~entry ~args =
 
 (* ---------------- generators ---------------- *)
 
+let countdown_src ~guard_k ~steps ~leaf ~helper =
+  let calls =
+    List.map (fun s -> Printf.sprintf "main(n - %d)" s) steps
+    @ if helper then [ "aux(n)" ] else []
+  in
+  Printf.sprintf "def main(n) = if n > %d then %s else %d%s" guard_k
+    (String.concat " + " calls) leaf
+    (if helper then "\ndef aux(x) = x * x" else "")
+
+(* A countdown of fan-out [nrec] whose smallest step is s recurses at
+   most L = arg / s levels deep, so its call tree has at most nrec^L
+   leaves.  Keep that within 3^11: the fan-out-3, step-1 tree of 11
+   levels costs the oracle about 3.0M steps, under [fuel_limit], and one
+   level more runs out. *)
+let max_countdown_leaves = 177_147
+
+let max_levels nrec =
+  let rec go levels leaves =
+    if leaves * nrec > max_countdown_leaves then levels else go (levels + 1) (leaves * nrec)
+  in
+  if nrec = 1 then max_countdown_leaves else go 0 1
+
 let gen_countdown =
   QCheck.Gen.(
     let* guard_k = int_range 0 4 in
@@ -106,17 +132,9 @@ let gen_countdown =
     let* steps = list_repeat nrec (int_range 1 3) in
     let* leaf = int_range (-5) 5 in
     let* helper = bool in
-    let* arg = int_range 0 14 in
-    let calls =
-      List.map (fun s -> Printf.sprintf "main(n - %d)" s) steps
-      @ (if helper then [ "aux(n)" ] else [])
-    in
-    let src =
-      Printf.sprintf "def main(n) = if n > %d then %s else %d%s" guard_k
-        (String.concat " + " calls) leaf
-        (if helper then "\ndef aux(x) = x * x" else "")
-    in
-    return (src, [ Value.Int arg ]))
+    let min_step = List.fold_left min max_int steps in
+    let* arg = int_range 0 (min 14 (min_step * max_levels nrec)) in
+    return (countdown_src ~guard_k ~steps ~leaf ~helper, [ Value.Int arg ]))
 
 let gen_ceiling =
   QCheck.Gen.(
@@ -163,6 +181,30 @@ let prop name gen =
   QCheck.Test.make ~count:150 ~name (arb gen) (fun (src, args) ->
       sound_for ~src ~entry:"main" ~args)
 
+(* The shape that once exhausted the oracle inside the countdown property:
+   fan-out 3, step 1, with the [aux] helper.  Argument 11 is the largest
+   the oracle measures within fuel (12 runs out), so it is the biggest
+   tree [gen_countdown] can now produce; its static bounds must hold. *)
+let countdown_fanout3 () =
+  let src = countdown_src ~guard_k:0 ~steps:[ 1; 1; 1 ] ~leaf:1 ~helper:true in
+  let r = Check.check_source ~entries:[ "main" ] src in
+  let program = Option.get r.Check.program in
+  let cost = Option.get r.Check.cost in
+  let arg = max_levels 3 in
+  Alcotest.(check int) "largest measurable argument" 11 arg;
+  (match measure program "main" [ Value.Int (arg + 1) ] with
+  | exception Stuck "fuel" -> ()
+  | _ -> Alcotest.fail "one level deeper should exhaust the oracle's fuel");
+  let eb = Cost.entry_bounds cost ~entry:"main" ~args:[ Value.Int arg ] in
+  let d, n = measure program "main" [ Value.Int arg ] in
+  (match eb.Cost.depth with
+  | Some bound -> Alcotest.(check bool) (Printf.sprintf "depth %d <= %d" d bound) true (d <= bound)
+  | None -> Alcotest.fail "no static depth bound");
+  match Cost.activation_bound eb with
+  | Some bound ->
+    Alcotest.(check bool) (Printf.sprintf "activations %d <= %d" n bound) true (n <= bound)
+  | None -> Alcotest.fail "no static activation bound"
+
 (* ---------------- workload cross-check ---------------- *)
 
 let workload_bounds () =
@@ -194,6 +236,7 @@ let suites =
     ( "analysis.cost_prop",
       [
         qtest (prop "countdown programs stay within bounds" gen_countdown);
+        Alcotest.test_case "fan-out 3 countdown at the fuel limit" `Quick countdown_fanout3;
         qtest (prop "guard-ceiling counters stay within bounds" gen_ceiling);
         qtest (prop "list walks stay within bounds" gen_list_walk);
         qtest (prop "mutual cycles stay within bounds" gen_mutual);

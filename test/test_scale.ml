@@ -1,14 +1,14 @@
 (* Scale smoke and arena invariants for the reworked hot data plane.
 
-   The arena task store, the O(1) load counters and batched delivery were
-   introduced to push the machine to 1k+ processors and ~10^5..10^6 tasks
-   without changing behaviour.  This file pins that claim from two sides:
+   The arena task store and the O(1) load counters were introduced to
+   push the machine to 1k+ processors and ~10^5..10^6 tasks without
+   changing behaviour.  This file pins that claim from two sides:
 
    - a 1024-processor, ~131k-task run with chaos and one mid-run failure
      must satisfy the recovery oracle, reproduce the serial answer, and
      replay byte-identically — the journal digest is pinned as a golden
-     and re-checked on a pool domain (jobs=2), so no arena or batching
-     state may leak between domains or depend on allocation history;
+     and re-checked on a pool domain (jobs=2), so no arena state may
+     leak between domains or depend on allocation history;
    - a QCheck property drives random small clusters through random
      failures and compares the incremental counters ([Node.live_tasks],
      [Node.blocked_tasks], [Node.wasted_work]) against the brute-force
@@ -47,7 +47,6 @@ let scale_cfg =
     (Config.default ~nodes:1024) with
     Config.policy = Recflow_balance.Policy.Static_hash;
     inline_depth = scale_depth;
-    batched_delivery = true;
     chaos;
     reliable = true;
     seed = 7;
@@ -75,16 +74,16 @@ let scale_digest () =
     (Printf.sprintf "|sim_time=%d|events=%d" o.Cluster.sim_time o.Cluster.events);
   Digest.to_hex (Digest.string (Buffer.contents buf))
 
-let scale_golden = "b9eb79a71d1ef1293d2e45059b935004"
+let scale_golden = "711ae2de0ec40225363fe23dda723141"
 
 let scale_smoke () =
   let d1 = scale_digest () in
   if Sys.getenv_opt "RECFLOW_GOLDEN" = Some "print" then
     Printf.printf "    scale_golden = %S\n%!" d1;
   Alcotest.(check string) "scale digest at jobs=1" scale_golden d1;
-  (* The same run on a pool domain must reproduce the digest: the arena,
-     the batching buffers and the incremental counters hold no
-     domain-local or allocation-history-dependent state. *)
+  (* The same run on a pool domain must reproduce the digest: the arena
+     and the incremental counters hold no domain-local or
+     allocation-history-dependent state. *)
   let pool = Pool.create ~jobs:2 () in
   let d2 =
     Fun.protect

@@ -10,13 +10,6 @@ let check_int = Alcotest.(check int)
 
 (* ---------------- Sink variants ---------------- *)
 
-let sink_null () =
-  let s = Sink.null () in
-  List.iter (Sink.emit s) [ 1; 2; 3 ];
-  check_int "null still counts" 3 (Sink.emitted s);
-  Sink.flush s;
-  Sink.close s
-
 let sink_of_fun_and_close () =
   let got = ref [] in
   let closed = ref 0 in
@@ -107,7 +100,6 @@ let suites =
   [
     ( "obs.sink",
       [
-        Alcotest.test_case "null" `Quick sink_null;
         Alcotest.test_case "of_fun + close" `Quick sink_of_fun_and_close;
         Alcotest.test_case "tee" `Quick sink_tee;
         Alcotest.test_case "file jsonl" `Quick sink_file_jsonl;
