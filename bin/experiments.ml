@@ -15,56 +15,74 @@ module Metrics = Recflow_obs.Metrics
 module Pool = Recflow_parallel.Pool
 module Profile = Recflow_obs_core.Profile
 module Json = Recflow_obs_core.Json
-
-module Collect = Recflow_obs_core.Collect
 module Counter = Recflow_stats.Counter
+module Hdr = Recflow_stats.Hdr
+
+(* The sweep-wide aggregate: every counter summed over every run, plus
+   per-run distributions. *)
+type sweep = {
+  mutable runs : int;
+  counters : Counter.set;
+  hdrs : (string, Hdr.t) Hashtbl.t;
+}
+
+let record sweep name v =
+  let h =
+    match Hashtbl.find_opt sweep.hdrs name with
+    | Some h -> h
+    | None ->
+      let h = Hdr.create () in
+      Hashtbl.add sweep.hdrs name h;
+      h
+  in
+  Hdr.record h v
 
 (* Dump one metrics document per simulated run into [dir]; file names are
    ordinal so a whole experiment sweep becomes a browsable trajectory.
-   The hook runs concurrently on pool domains (no obs lock any more): the
-   ordinal is an atomic fetch-and-add, and the sweep-wide aggregation goes
-   through a sharded {!Collect} — each domain writes its own shard
-   lock-free, merged deterministically in slot order at the end. *)
+   The harness serialises hook calls, so the ordinal and the aggregate are
+   plain mutable state.  Under --jobs > 1 ordinals follow completion
+   order; the aggregate does not depend on it. *)
 let install_metrics_hook dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let n = Atomic.make 0 in
-  let coll = Collect.create () in
+  let sweep = { runs = 0; counters = Counter.create_set (); hdrs = Hashtbl.create 8 } in
   Harness.set_obs_hook
     (Some
        (fun info (r : Harness.run) ->
-         let ordinal = Atomic.fetch_and_add n 1 + 1 in
+         sweep.runs <- sweep.runs + 1;
          let path =
            Filename.concat dir
-             (Printf.sprintf "run-%05d-%s-%s.json" ordinal info.Harness.workload_name
+             (Printf.sprintf "run-%05d-%s-%s.json" sweep.runs info.Harness.workload_name
                 info.Harness.size_name)
          in
          Metrics.write ~path
            (Metrics.run_json ~workload:info.Harness.workload_name ~size:info.Harness.size_name
               ~cluster:r.Harness.cluster ~outcome:r.Harness.outcome ());
          List.iter
-           (fun (name, v) -> Collect.add coll name v)
+           (fun (name, v) -> Counter.add sweep.counters name v)
            (Counter.to_alist (Cluster.counters r.Harness.cluster));
-         Collect.record coll "run.sim_time" r.Harness.outcome.Cluster.sim_time;
-         Collect.record coll "run.events" r.Harness.outcome.Cluster.events));
-  (n, coll)
+         record sweep "run.sim_time" r.Harness.outcome.Cluster.sim_time;
+         record sweep "run.events" r.Harness.outcome.Cluster.events));
+  sweep
 
-(* The cross-sweep aggregate: every counter summed over every run, plus
-   per-run distribution percentiles — the document a trajectory-level
-   dashboard reads instead of re-folding thousands of run files. *)
-let write_sweep_aggregate dir n coll =
+(* The document a trajectory-level dashboard reads instead of re-folding
+   thousands of run files; sorted by name, so byte-identical at any
+   --jobs. *)
+let write_sweep_aggregate dir sweep =
   let path = Filename.concat dir "sweep-aggregate.json" in
+  let hdrs =
+    List.sort
+      (fun (a, _) (b, _) -> String.compare a b)
+      (Hashtbl.fold (fun k h acc -> (k, h) :: acc) sweep.hdrs [])
+  in
   Json.write_file ~path
     (Json.Obj
        [
          ("schema", Json.Str "recflow.sweep/1");
-         ("runs", Json.Int (Atomic.get n));
+         ("runs", Json.Int sweep.runs);
          ( "counters",
            Json.Obj
-             (List.map (fun (k, v) -> (k, Json.Int v)) (Counter.to_alist (Collect.counters coll)))
-         );
-         ( "distributions",
-           Json.Obj
-             (List.map (fun (k, h) -> (k, Metrics.hdr_json h)) (Collect.hdrs coll)) );
+             (List.map (fun (k, v) -> (k, Json.Int v)) (Counter.to_alist sweep.counters)) );
+         ("distributions", Json.Obj (List.map (fun (k, h) -> (k, Metrics.hdr_json h)) hdrs));
        ]);
   Format.printf "sweep aggregate written to %s@." path
 
@@ -103,9 +121,6 @@ let main quick list_only markdown metrics_dir jobs profile ids =
     exit 2
   | Some j -> Pool.set_default_jobs j
   | None -> ());
-  (* Spawn + first-wakeup of the pool workers happens here, not inside the
-     first experiment's timed section. *)
-  Harness.warm_pool ();
   if profile then begin
     Profile.set_enabled true;
     Profile.reset ()
@@ -114,9 +129,9 @@ let main quick list_only markdown metrics_dir jobs profile ids =
   let runs_dumped = Option.map install_metrics_hook metrics_dir in
   let finish code =
     (match (metrics_dir, runs_dumped) with
-    | Some dir, Some (n, coll) ->
-      Format.printf "%d run metrics documents written to %s/@." (Atomic.get n) dir;
-      write_sweep_aggregate dir n coll
+    | Some dir, Some sweep ->
+      Format.printf "%d run metrics documents written to %s/@." sweep.runs dir;
+      write_sweep_aggregate dir sweep
     | _ -> ());
     if profile then begin
       Format.printf "@.%a" Profile.pp_report ();

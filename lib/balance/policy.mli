@@ -36,7 +36,7 @@ type spec =
   | Gradient_distributed of { threshold : int }
       (** the gradient model implemented distributedly, as in Lin & Keller
           [10]: nodes periodically exchange gradient values with their
-          topology neighbours ([Config.gradient_period]) and a spawn stays
+          topology neighbours (every 100 ticks) and a spawn stays
           local while the run queue is at most [threshold], otherwise it
           flows to the neighbour with the lowest gradient value.  The
           placement decision is made inside {!Recflow_machine.Node} from

@@ -165,7 +165,7 @@ let discharge t ~dest stamp =
 
 let by_stamp (a : Packet.t) (b : Packet.t) = Stamp.compare a.stamp b.stamp
 
-(* Collected order is arbitrary (trie walk), but the caller-visible order
+(* Gathered order is arbitrary (trie walk), but the caller-visible order
    is fixed by the stable sort: distinct stamps by [Stamp.compare], equal
    stamps kept newest-first because each node's packets stay contiguous and
    newest-first in the collected list. *)

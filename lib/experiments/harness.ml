@@ -19,18 +19,17 @@ type run = {
 type obs_info = { workload_name : string; size_name : string }
 
 (* The hook is a process-wide mutable and harness runs execute on pool
-   domains.  It used to be guarded by a mutex taken on *every* run — a
-   serialization point right on the sweep hot path (ROADMAP item 1).  Now
-   the slot is an [Atomic.t] read lock-free per run; the trade is that
-   hook bodies execute concurrently on pool domains and must be
-   domain-safe themselves.  Shard per-run state by pool slot
-   (Recflow_obs_core.Collect) or use atomics for ordinals — see
-   bin/experiments.ml for the pattern. *)
-let obs_hook : (obs_info -> run -> unit) option Atomic.t = Atomic.make None
+   domains, so every call goes through one mutex: hook bodies never run
+   concurrently and may keep plain mutable state.  That is one lock per
+   simulated run (288 per quick sweep), nothing next to the run itself. *)
+let obs_hook : (obs_info -> run -> unit) option ref = ref None
 
-let set_obs_hook h = Atomic.set obs_hook h
+let obs_mutex = Mutex.create ()
 
-let notify_obs info r = match Atomic.get obs_hook with Some hook -> hook info r | None -> ()
+let set_obs_hook h = Mutex.protect obs_mutex (fun () -> obs_hook := h)
+
+let notify_obs info r =
+  Mutex.protect obs_mutex (fun () -> match !obs_hook with Some hook -> hook info r | None -> ())
 
 let size_name = function
   | Workload.Tiny -> "tiny"
@@ -59,12 +58,6 @@ let run ?(drain = false) config workload size ~failures =
 let probe config workload size = run config workload size ~failures:[]
 
 let run_many f xs = Pool.map (Pool.default ()) f xs
-
-let warm_pool () =
-  let p = Pool.default () in
-  (* One trivial batch wider than the pool forces every worker through its
-     first wakeup (and its GC resize) before anything is timed. *)
-  ignore (Pool.map p Fun.id (List.init (4 * Pool.jobs p) Fun.id))
 
 let run_many_seeded ~seed f xs =
   (* Derive one independent stream per element by splitting a master

@@ -40,13 +40,6 @@ val run_many_seeded :
     [seed] before the fan-out, so the draws depend only on [(seed, i)]
     and the sweep stays bit-identical at any [--jobs]. *)
 
-val warm_pool : unit -> unit
-(** Force the shared pool into existence and run one trivial wider-than-
-    the-pool batch through it, so domain spawn and first-wakeup costs land
-    before any timed section instead of inside the first sweep.  The
-    experiments driver calls this once after [--jobs] is applied; the
-    benches hoist pool construction the same way. *)
-
 type obs_info = { workload_name : string; size_name : string }
 
 val set_obs_hook : (obs_info -> run -> unit) option -> unit
@@ -55,13 +48,11 @@ val set_obs_hook : (obs_info -> run -> unit) option -> unit
     a metrics document per simulated run ([--metrics-dir]) without any
     experiment knowing.  The hook must not mutate the cluster.
 
-    The hook slot is an atomic read on the per-run hot path — no lock is
-    taken, so hook bodies execute concurrently on pool domains
-    ({!run_many}) and must be domain-safe: shard mutable state by pool
-    slot ({!Recflow_obs_core.Collect}) or use [Atomic] for ordinals.
-    Completion order across domains — and hence e.g. ordinal file
-    numbering — is not deterministic under [--jobs] > 1, but the set of
-    invocations is. *)
+    Calls are serialised under one mutex, so the hook body may keep plain
+    mutable state even when runs execute on pool domains ({!run_many});
+    it must not start a harness run itself.  Completion order across
+    domains — and hence e.g. ordinal file numbering — is not
+    deterministic under [--jobs] > 1, but the set of invocations is. *)
 
 val synthetic_setup : quick:bool -> Workload.t * Workload.size * int
 (** The standard controlled workload of the quantitative experiments: a

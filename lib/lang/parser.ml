@@ -293,7 +293,7 @@ and parse_cmp st =
     Ast.Prim (op, [ lhs; rhs ])
 
 and parse_cons st =
-  (* Collect the ::-separated operands iteratively (a deep cons chain must
+  (* Gather the ::-separated operands iteratively (a deep cons chain must
      not recurse), then fold them into the right-nested AST. *)
   let rec collect acc =
     let e = parse_add st in

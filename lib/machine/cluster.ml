@@ -411,9 +411,33 @@ let hosted_unanswered t pid =
    answer, in service mode any request still in flight. *)
 let unanswered_exists t = if t.service then t.unanswered > 0 else t.answer = None
 
+(* Ticks between two rounds of the distributed gradient exchange (only
+   with [Policy.Gradient_distributed]): every node recomputes its gradient
+   value from its neighbours' last-heard values and broadcasts it. *)
+let gradient_period = 100
+
 (* Gradient gossip keeps ticking while there is (or may yet be) work. *)
 let gradient_live t =
   if t.service then t.arrivals_open || t.unanswered > 0 else t.answer = None
+
+(* Forward a salvaged orphan result from the super-root to the request's
+   current twin ([req.task] on [req.dest]).  A direct child of the request
+   root fills the twin's call slot; a deeper orphan (reachable here
+   because §5.2 ancestor links can skip past a dead grandparent) keeps its
+   [To_grandparent] shape and is driven down the chain of twins — filling
+   the root's slot with a grandchild's partial value would silently drop
+   the rest of that subtree. *)
+let forward_orphan t req stamp (dead_parent : Packet.link) value =
+  let direct =
+    match Stamp.parent stamp with Some p -> Stamp.equal p req.r_stamp | None -> false
+  in
+  let relay, slot =
+    if direct then (Message.To_step_parent { dead_parent }, dead_parent.Packet.slot)
+    else (Message.To_grandparent { dead_parent }, -1)
+  in
+  send t ~src:Ids.super_root ~dst:req.dest
+    (Message.Result
+       { stamp; value; target = { Packet.task = req.task; proc = req.dest; slot }; relay })
 
 (* Dispatch (or re-dispatch) a request's root task from the super-root's
    retained checkpoint. *)
@@ -454,29 +478,11 @@ let dispatch_request t req ~reason =
         Journal.record t.journal ~time:(now t) ~stamp:req.r_stamp
           (Journal.Respawned { task = task_id; dest; reason });
         Option.iter (fun f -> f reason) req.on_disturbed);
-      (* Forward any salvaged orphan results that were waiting for a twin.
-         A direct child of the request root fills the twin's call slot; a
-         deeper orphan (reachable here because §5.2 ancestor links can skip
-         past a dead grandparent) must instead be driven down the chain of
-         twins, so it keeps its [To_grandparent] shape — filling the
-         root's slot with a grandchild's partial value would silently
-         drop the rest of that subtree. *)
+      (* Forward any salvaged orphan results that were waiting for a twin. *)
       let pending = req.pending in
       req.pending <- [];
       List.iter
-        (fun (stamp, (dead_parent : Packet.link), value) ->
-          let direct =
-            match Stamp.parent stamp with
-            | Some p -> Stamp.equal p req.r_stamp
-            | None -> false
-          in
-          let relay, slot =
-            if direct then (Message.To_step_parent { dead_parent }, dead_parent.Packet.slot)
-            else (Message.To_grandparent { dead_parent }, -1)
-          in
-          send t ~src:Ids.super_root ~dst:dest
-            (Message.Result
-               { stamp; value; target = { Packet.task = task_id; proc = dest; slot }; relay }))
+        (fun (stamp, dead_parent, value) -> forward_orphan t req stamp dead_parent value)
         pending)
 
 let super_root_deliver t msg =
@@ -499,45 +505,21 @@ let super_root_deliver t msg =
         t.answer_time <- Some (now t);
         if not t.drain then Engine.stop t.engine
       end)
-  | Message.Result { stamp; value; target; relay = Message.To_grandparent { dead_parent }; _ }
-    -> (
+  | Message.Result { stamp; value; relay = Message.To_grandparent { dead_parent }; _ } -> (
     (* An orphaned result salvages itself through the super-root acting
-       as an ancestor.  Only a *direct* child of the dead request root
-       fills a root call slot; a deeper orphan (its parent and grandparent
-       both dead, escalated here via §5.2 ancestor links) keeps its
-       [To_grandparent] shape and is driven down the chain of twins by
-       the root twin — its value is one subtree fragment, not the whole
-       slot. *)
+       as an ancestor ({!forward_orphan}). *)
     match request_of_stamp t stamp with
     | None -> ()
     | Some req ->
       if req.answers = [] && t.cfg.Config.recovery = Config.Splice then begin
-        let direct =
-          match Stamp.parent stamp with
-          | Some p -> Stamp.equal p req.r_stamp
-          | None -> false
-        in
         let root_alive = req.dest >= 0 && Router.alive t.router req.dest in
-        if root_alive && req.dest <> dead_parent.Packet.proc then begin
+        if root_alive && req.dest <> dead_parent.Packet.proc then
           (* a twin already exists: forward straight to it *)
-          let relay, slot =
-            if direct then (Message.To_step_parent { dead_parent }, dead_parent.Packet.slot)
-            else (Message.To_grandparent { dead_parent }, -1)
-          in
-          send t ~src:Ids.super_root ~dst:req.dest
-            (Message.Result
-               {
-                 stamp;
-                 value;
-                 target = { Packet.task = req.task; proc = req.dest; slot };
-                 relay;
-               })
-        end
+          forward_orphan t req stamp dead_parent value
         else begin
           req.pending <- (stamp, dead_parent, value) :: req.pending;
           dispatch_request t req ~reason:(Some "orphan-result")
-        end;
-        ignore target
+        end
       end)
   | Message.Orphan_alive { stamp; orphan; dead_parent; target = _ } -> (
     (* A child of a (dead) request root announces itself: make sure that
@@ -796,7 +778,7 @@ let handle_event t _at ev =
     let n = t.node_arr.(pid) in
     if Node.is_alive n && gradient_live t then begin
       Node.gradient_tick n (ctx t);
-      Engine.schedule t.engine ~delay:t.cfg.Config.gradient_period (Gradient_tick pid)
+      Engine.schedule t.engine ~delay:gradient_period (Gradient_tick pid)
     end
   | Fail pid -> handle_fail t pid
   | Callback f -> f ()
@@ -815,7 +797,7 @@ let arm_gradient t =
   | Policy.Gradient_distributed _ ->
     Array.iteri
       (fun pid _ ->
-        Engine.schedule t.engine ~delay:(1 + (pid * 7 mod t.cfg.Config.gradient_period))
+        Engine.schedule t.engine ~delay:(1 + (pid * 7 mod gradient_period))
           (Gradient_tick pid))
       t.node_arr
   | _ -> ()

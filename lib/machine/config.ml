@@ -43,7 +43,6 @@ type t = {
   spawn_cost : int;
   ctx_switch : int;
   detect_delay : int;
-  gradient_period : int;
   adoption_grace : int;
   bounce_delay : int;
   horizon : int;
@@ -71,7 +70,6 @@ let default ~nodes =
     spawn_cost = 5;
     ctx_switch = 1;
     detect_delay = 200;
-    gradient_period = 100;
     adoption_grace = 80;
     bounce_delay = 150;
     horizon = 200_000_000;
@@ -105,7 +103,6 @@ let metadata t : (string * meta_value) list =
     ("latency_per_hop", `Int t.latency.Recflow_net.Latency.per_hop);
     ("latency_jitter", `Int t.latency.Recflow_net.Latency.jitter);
     ("detect_delay", `Int t.detect_delay);
-    ("gradient_period", `Int t.gradient_period);
     ("adoption_grace", `Int t.adoption_grace);
     ("bounce_delay", `Int t.bounce_delay);
     ("seed", `Int t.seed);
@@ -140,7 +137,6 @@ let validate t =
   then err "adaptive ckpt_mode max_depth must be >= 1 (the root's children must be covered)"
   else if t.detect_delay < 1 then err "detect_delay must be >= 1"
   else if t.adoption_grace < 0 then err "adoption_grace must be >= 0"
-  else if t.gradient_period < 1 then err "gradient_period must be >= 1"
   else if t.bounce_delay < 1 then err "bounce_delay must be >= 1"
   else if t.horizon < 1 then err "horizon must be >= 1"
   else if t.retry.rto < 1 then err "retry rto must be >= 1"

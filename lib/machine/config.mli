@@ -86,11 +86,6 @@ type t = {
   detect_delay : int;
       (** ticks from a processor failure until peers receive the
           error-detection notice (plus per-hop distance) *)
-  gradient_period : int;
-      (** period of the distributed gradient exchange (only used with
-          [Policy.Gradient_distributed]): every node recomputes its
-          gradient value from its neighbours' last-heard values and
-          broadcasts it to them *)
   adoption_grace : int;
       (** splice only: enables offspring *inheritance* (§4.1 "this twin
           task inherits all offspring of the faulty task") — living

@@ -1,75 +1,46 @@
-(** Fixed-size domain pool for embarrassingly parallel fan-out.
+(** Per-batch domain fan-out for embarrassingly parallel sweeps.
 
-    A pool owns [jobs - 1] worker domains, each with its own Chase–Lev
-    work-stealing deque ({!Deque}): the domain that owns a deque pushes and
-    pops lock-free at the bottom, idle domains steal from the top, and a
-    batch is submitted as one range task that splits recursively — so an
-    N-task batch costs O(N / chunk) deque pushes and zero global-mutex
-    acquisitions, where the old single locked queue paid a mutex round trip
-    per push *and* per pop.  The submitting domain participates while it
-    waits, so a pool never deadlocks on nested submissions, and [jobs = 1]
-    degenerates to plain sequential execution on the caller in submission
-    order — the property the experiments driver relies on for its
-    [--jobs 1] determinism oracle.
+    A pool is a width and a budget of [jobs - 1] helper domains.  Each
+    {!map} batch claims items from one shared atomic index: the caller
+    works through it, helped by up to [min (n - 1) (jobs - 1)] domains that
+    are spawned for this batch, taken from the budget, and joined before
+    [map] returns.  A nested map (an item fanning out an inner sweep) gets
+    helpers only while some are free and otherwise runs on its own caller,
+    so one pool never runs more than [jobs] domains and never deadlocks.
+    [jobs = 1] degenerates to [List.map] on the caller — the property the
+    experiments driver relies on for its [--jobs 1] determinism oracle.
 
-    Results are returned in submission order regardless of which domain
-    executed what, and the first (lowest-index) exception raised by a task
-    is re-raised in the submitter with its original backtrace. *)
+    Results come back in submission order regardless of which domain ran
+    what, and the exception of the lowest-index failing item is re-raised
+    in the caller with its original backtrace. *)
 
 type t
 
-val create : ?jobs:int -> ?minor_heap_words:int -> unit -> t
-(** [create ~jobs ()] starts a pool of [jobs] execution slots ([jobs - 1]
-    spawned domains plus the submitter).  [jobs] defaults to
+val create : ?jobs:int -> unit -> t
+(** [create ~jobs ()] makes a pool of [jobs] execution slots (the caller
+    plus [jobs - 1] helpers).  [jobs] defaults to
     [Domain.recommended_domain_count ()] and is clamped to at least 1.
+    No domain is started until a batch needs one.
 
-    Each spawned worker sizes its minor heap to [minor_heap_words] (default
-    [2^20] words, 8 MiB on 64-bit — the stock 256k-word minor heap forces
-    allocation-heavy sub-millisecond simulation tasks into constant minor
-    collections, each a stop-the-world across domains).  The submitting
-    domain's GC parameters are never touched, so [jobs = 1] behaviour is
-    byte-identical to a plain [List.map].
+    Each helper sizes its minor heap to [2^20] words (8 MiB on 64-bit):
+    the stock 256k-word nursery forces allocation-heavy simulation tasks
+    into constant minor collections, each a stop-the-world across domains.
+    The caller's GC parameters are never touched.
 
     Raises [Invalid_argument] if [jobs < 1]. *)
 
 val jobs : t -> int
-(** Number of execution slots (worker domains + the submitting caller). *)
-
-val slot : unit -> int
-(** Process-unique index of the execution slot the calling domain occupies.
-    Worker domains are assigned a contiguous range at pool creation, and
-    any other domain (the submitter included) allocates its own slot on
-    first use — so two coexisting pools, or two raw submitter domains,
-    never share a slot.  Sharded collectors key per-domain state by this
-    index: each slot has exactly one writing domain, so their hot path
-    takes no lock.  Slot numbers are small and dense but depend on pool
-    creation order; consumers must treat them as opaque (merge over all
-    slots commutatively), and can size storage with {!slot_limit}. *)
-
-val slot_limit : unit -> int
-(** Exclusive upper bound on every slot index allocated so far.  Grows as
-    pools (and fresh submitter domains) appear; collectors created before
-    a pool must be prepared to grow up to the current limit. *)
+(** Number of execution slots (helper domains + the caller). *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f xs] applies [f] to every element of [xs], possibly on
     different domains, and returns the results in the order of [xs].
     If any application raises, the exception of the lowest-index failing
-    element is re-raised after the whole batch has settled (no task is
-    abandoned mid-flight).
-    Raises [Invalid_argument] if the pool has been shut down — a silent
-    fallback would run the batch submitter-only and masquerade as a
-    parallel sweep. *)
+    element is re-raised after the whole batch has settled (no item is
+    abandoned mid-flight). *)
 
 val run : t -> (unit -> 'a) list -> 'a list
 (** [run pool thunks] is [map pool (fun f -> f ()) thunks]. *)
-
-val shutdown : t -> unit
-(** Stop and join the worker domains.  Idempotent.  Subsequent [map]/[run]
-    calls raise [Invalid_argument].  A [map] already in flight when
-    [shutdown] is called is drained first: the workers stay alive until it
-    settles and its submitter gets its full result — shutdown never
-    strands a batch mid-air. *)
 
 (** {1 Shared default pool}
 
@@ -77,18 +48,9 @@ val shutdown : t -> unit
     single [--jobs] flag governs every sweep. *)
 
 val set_default_jobs : int -> unit
-(** Replace the default pool with one of the given width (shutting down
-    the previous one if it was started).  Raises [Invalid_argument] if
-    [jobs < 1], or if a [map] on the current default pool is observed
-    still in flight — swapping under a live sweep would tear the pool out
-    from under its submitter.  The in-flight refusal is best-effort
-    detection of that misuse, not the safety mechanism: a map racing this
-    call either completes in full (the retiring pool's {!shutdown} drains
-    admitted maps before joining its workers) or raises
-    [Invalid_argument] itself. *)
+(** Make the default pool [jobs] wide.  A batch already running keeps the
+    width it started with.  Raises [Invalid_argument] if [jobs < 1]. *)
 
 val default : unit -> t
-(** The shared pool, created on first use with the default width. *)
-
-val default_jobs : unit -> int
-(** Width the default pool has (or would be created with). *)
+(** The shared pool, [Domain.recommended_domain_count ()] wide until
+    {!set_default_jobs} says otherwise. *)

@@ -3,109 +3,21 @@
    at any pool width. *)
 
 module Pool = Recflow_parallel.Pool
-module Deque = Recflow_parallel.Deque
 module Harness = Recflow_experiments.Harness
 module Report = Recflow_experiments.Report
 module Workload = Recflow_workload.Workload
 module Rng = Recflow_sim.Rng
-module Collect = Recflow_obs_core.Collect
-module Counter = Recflow_stats.Counter
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let with_pool ~jobs f =
-  let p = Pool.create ~jobs () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) (fun () -> f p)
+let with_pool ~jobs f = f (Pool.create ~jobs ())
 
 (* Run [f] with the default pool set to [jobs], restoring width 1 after so
-   tests do not leak domains into each other. *)
+   tests do not leak their width into each other. *)
 let with_default_jobs jobs f =
   Pool.set_default_jobs jobs;
   Fun.protect ~finally:(fun () -> Pool.set_default_jobs 1) f
-
-(* ---------------- Deque ---------------- *)
-
-let deque_sequential_grow () =
-  (* Push far past the initial ring capacity, then drain from both ends:
-     every element must come back exactly once. *)
-  let q = Deque.create () in
-  let n = 1000 in
-  for i = 0 to n - 1 do
-    Deque.push q i
-  done;
-  check_int "size after pushes" n (Deque.size q);
-  let seen = Array.make n 0 in
-  for _ = 1 to n / 2 do
-    match Deque.steal q with
-    | Some v -> seen.(v) <- seen.(v) + 1
-    | None -> Alcotest.fail "steal returned None on a non-empty deque"
-  done;
-  let rec drain () =
-    match Deque.pop q with
-    | Some v ->
-      seen.(v) <- seen.(v) + 1;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  check "each element exactly once" true (Array.for_all (( = ) 1) seen)
-
-let deque_steal_grow_race () =
-  (* Regression for a memory-safety race: [steal] used to read [q.buf]
-     twice — once for the mask, once for the element — so a concurrent
-     [grow] (which swaps the buffer) could pair the new array with the old
-     mask (wrong slot, garbage value) or the old array with the new mask
-     (out of bounds).  Thief domains hammer [steal] while the owner pushes
-     enough to double the ring many times over; heap-allocated payloads
-     [(i, 2 * i + 1)] make a wrong-slot read detectable as a value-set
-     violation rather than only as a segfault. *)
-  let q : (int * int) Deque.t = Deque.create () in
-  let n = 100_000 in
-  let thieves = 2 in
-  let stop = Atomic.make false in
-  let stealers =
-    List.init thieves (fun _ ->
-        Domain.spawn (fun () ->
-            let acc = ref [] in
-            let rec go () =
-              match Deque.steal q with
-              | Some v ->
-                acc := v :: !acc;
-                go ()
-              | None ->
-                if not (Atomic.get stop) then begin
-                  Domain.cpu_relax ();
-                  go ()
-                end
-            in
-            go ();
-            !acc))
-  in
-  let popped = ref [] in
-  for i = 0 to n - 1 do
-    (* bursts of pushes grow the ring under the thieves' feet; the
-       occasional pop keeps the owner's bottom end busy too *)
-    Deque.push q (i, (2 * i) + 1);
-    if i mod 7 = 0 then
-      match Deque.pop q with Some v -> popped := v :: !popped | None -> ()
-  done;
-  let rec drain () =
-    match Deque.pop q with
-    | Some v ->
-      popped := v :: !popped;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Atomic.set stop true;
-  let stolen = List.concat_map Domain.join stealers in
-  let all = List.rev_append !popped stolen in
-  check_int "no element lost or duplicated" n (List.length all);
-  check "every payload intact" true
-    (List.for_all (fun (i, w) -> i >= 0 && i < n && w = (2 * i) + 1) all);
-  let module S = Set.Make (Int) in
-  check_int "all distinct" n (S.cardinal (S.of_list (List.map fst all)))
 
 (* ---------------- Pool ---------------- *)
 
@@ -161,7 +73,7 @@ let pool_survives_exception () =
       Alcotest.(check (list int)) "next batch fine" [ 2; 4 ] (Pool.map p (fun x -> 2 * x) [ 1; 2 ]))
 
 let pool_nested_map () =
-  (* Nested submissions (an outer task fanning out an inner sweep, as
+  (* Nested submissions (an outer item fanning out an inner sweep, as
      exp_salvage does) must not deadlock even when the pool is narrower
      than the outer batch. *)
   with_pool ~jobs:2 (fun p ->
@@ -171,6 +83,57 @@ let pool_nested_map () =
       in
       Alcotest.(check (list int)) "nested sums" [ 36; 66; 96; 126 ] got)
 
+let nested_map_bounded () =
+  (* An inner batch only gets helpers the pool has free, so however the
+     maps nest, no more than [jobs] items ever run at once.  Each item
+     spins briefly so overlapping items really overlap. *)
+  List.iter
+    (fun jobs ->
+      with_pool ~jobs (fun p ->
+          let running = Atomic.make 0 in
+          let peak = Atomic.make 0 in
+          let rec raise_peak v =
+            let cur = Atomic.get peak in
+            if v > cur && not (Atomic.compare_and_set peak cur v) then raise_peak v
+          in
+          let leaf j =
+            raise_peak (Atomic.fetch_and_add running 1 + 1);
+            let t0 = Unix.gettimeofday () in
+            while Unix.gettimeofday () -. t0 < 0.005 do
+              Domain.cpu_relax ()
+            done;
+            Atomic.decr running;
+            j
+          in
+          let got =
+            Pool.map p
+              (fun i -> List.fold_left ( + ) 0 (Pool.map p leaf (List.init 6 (fun j -> i + j))))
+              (List.init 6 Fun.id)
+          in
+          Alcotest.(check (list int))
+            (Printf.sprintf "nested sums at jobs=%d" jobs)
+            (List.init 6 (fun i -> (6 * i) + 15))
+            got;
+          check (Printf.sprintf "peak %d <= jobs=%d" (Atomic.get peak) jobs) true
+            (Atomic.get peak <= jobs);
+          (* Failures in several inner batches: the outer caller sees the
+             inner batch of the lowest outer index, and within it the
+             lowest inner index. *)
+          check
+            (Printf.sprintf "inner error reaches the caller at jobs=%d" jobs)
+            true
+            (try
+               ignore
+                 (Pool.map p
+                    (fun i ->
+                      Pool.map p
+                        (fun j -> if i >= 2 && j >= 1 then raise (Boom ((10 * i) + j)) else j)
+                        [ 0; 1; 2; 3 ])
+                    [ 0; 1; 2; 3; 4 ]);
+               false
+             with Boom 21 -> true)))
+    [ 2; 4 ]
+
 let pool_jobs_clamped () =
   with_pool ~jobs:1 (fun p -> check_int "jobs 1" 1 (Pool.jobs p));
   check "jobs 0 rejected" true
@@ -179,68 +142,10 @@ let pool_jobs_clamped () =
        false
      with Invalid_argument _ -> true)
 
-let pool_shutdown_idempotent () =
-  let p = Pool.create ~jobs:3 () in
-  Pool.shutdown p;
-  Pool.shutdown p;
-  (* A map on a shut-down pool used to fall back to running submitter-only,
-     silently masquerading as a parallel sweep; it must refuse instead. *)
-  check "map after shutdown refused" true
-    (try
-       ignore (Pool.map p (fun x -> x * x) [ 1; 2; 3 ]);
-       false
-     with Invalid_argument _ -> true)
-
-let pool_shutdown_drains_in_flight_map () =
-  (* Regression: workers used to exit the moment [closed] was set, without
-     draining — a shutdown racing an in-flight map could strand its queued
-     splits and deadlock the submitter.  Now shutdown must wait for the
-     admitted batch: the submitter gets its complete result and shutdown
-     returns only after.  Task 0 parks until the main domain has started
-     the shutdown, guaranteeing the close flip lands mid-batch. *)
-  let p = Pool.create ~jobs:3 () in
-  let started = Atomic.make false in
-  let release = Atomic.make false in
-  let n = 64 in
-  let submitter =
-    Domain.spawn (fun () ->
-        Pool.map p
-          (fun i ->
-            if i = 0 then begin
-              Atomic.set started true;
-              while not (Atomic.get release) do
-                Domain.cpu_relax ()
-              done
-            end;
-            i * i)
-          (List.init n Fun.id))
-  in
-  while not (Atomic.get started) do
-    Domain.cpu_relax ()
-  done;
-  let closer = Domain.spawn (fun () -> Pool.shutdown p) in
-  (* give the shutdown a moment to flip [closed] while task 0 still parks *)
-  for _ = 1 to 10_000 do
-    Domain.cpu_relax ()
-  done;
-  Atomic.set release true;
-  Alcotest.(check (list int))
-    "racing map completed in full" (List.init n (fun i -> i * i)) (Domain.join submitter);
-  Domain.join closer;
-  check "map after the drained shutdown refused" true
-    (try
-       ignore (Pool.map p (fun x -> x) [ 1; 2 ]);
-       false
-     with Invalid_argument _ -> true)
-
 let cross_pool_nested_map () =
-  (* A worker of pool A submitting a batch to pool B claims B's deque 0
-     and temporarily rebinds the domain's pool context; the release must
-     RESTORE the worker's original context, not erase it (a clobber
-     silently demoted all its later pushes in A to the mutexed injection
-     queue).  Exercised for correctness here: repeated rounds of A-tasks
-     each fanning out through B, with enough elements per round that the
-     outer tasks keep splitting after their inner maps return. *)
+  (* Items of pool A each fanning out through pool B: every pool lends
+     helpers from its own budget, so the nesting needs no coordination
+     between them.  Repeated rounds reuse both pools. *)
   with_pool ~jobs:2 (fun a ->
       with_pool ~jobs:2 (fun b ->
           for _round = 1 to 3 do
@@ -258,82 +163,6 @@ let cross_pool_nested_map () =
 let pool_run_thunks () =
   with_pool ~jobs:2 (fun p ->
       Alcotest.(check (list int)) "run" [ 10; 20 ] (Pool.run p [ (fun () -> 10); (fun () -> 20) ]))
-
-let set_default_jobs_refused_in_flight () =
-  (* Swapping the default pool while a map is running on it would tear the
-     pool out from under its submitter.  A raw domain drives a map through
-     the default pool and parks inside a task until the main domain has
-     observed the refusal. *)
-  with_default_jobs 2 (fun () ->
-      let started = Atomic.make false in
-      let release = Atomic.make false in
-      let submitter =
-        Domain.spawn (fun () ->
-            Pool.map (Pool.default ())
-              (fun i ->
-                if i = 0 then begin
-                  Atomic.set started true;
-                  while not (Atomic.get release) do
-                    Domain.cpu_relax ()
-                  done
-                end;
-                i)
-              [ 0; 1; 2; 3 ])
-      in
-      while not (Atomic.get started) do
-        Domain.cpu_relax ()
-      done;
-      let refused =
-        try
-          Pool.set_default_jobs 3;
-          false
-        with Invalid_argument _ -> true
-      in
-      Atomic.set release true;
-      Alcotest.(check (list int)) "gated map finished" [ 0; 1; 2; 3 ] (Domain.join submitter);
-      check "swap refused while map in flight" true refused;
-      (* once the batch has settled the swap must go through *)
-      Pool.set_default_jobs 3;
-      check_int "swap succeeds after the batch" 3 (Pool.default_jobs ()))
-
-let dual_pool_slots_disjoint () =
-  (* Two coexisting pools must never alias an execution slot: slot ids are
-     what sharded collectors key their single-writer shards by. *)
-  with_pool ~jobs:3 (fun p1 ->
-      with_pool ~jobs:3 (fun p2 ->
-          let slots_of p =
-            Pool.map p (fun i -> ignore (Sys.opaque_identity i); Pool.slot ()) (List.init 64 Fun.id)
-          in
-          let s1 = slots_of p1 and s2 = slots_of p2 in
-          let module S = Set.Make (Int) in
-          let d1 = S.of_list s1 and d2 = S.of_list s2 in
-          check "pools share no slot" true (S.is_empty (S.inter (S.remove (Pool.slot ()) d1)
-            (S.remove (Pool.slot ()) d2)));
-          check "slots below slot_limit" true
-            (S.for_all (fun s -> s >= 0 && s < Pool.slot_limit ()) (S.union d1 d2))))
-
-let dual_pool_collect_exact () =
-  (* The practical consequence of slot disjointness: a sharded collector
-     written through two pools at once — one driven by a second raw domain,
-     whose lazily allocated slot also exercises the growth path — must
-     merge to exact totals, with no update lost to slot aliasing. *)
-  with_pool ~jobs:3 (fun p1 ->
-      with_pool ~jobs:3 (fun p2 ->
-          let coll = Collect.create () in
-          let n = 400 in
-          let bump p name = ignore (Pool.map p (fun _ -> Collect.incr coll name) (List.init n Fun.id)) in
-          let other =
-            Domain.spawn (fun () ->
-                bump p2 "shared";
-                bump p2 "only_p2")
-          in
-          bump p1 "shared";
-          bump p1 "only_p1";
-          Domain.join other;
-          let c = Collect.counters coll in
-          check_int "shared counter exact" (2 * n) (Counter.get c "shared");
-          check_int "p1 counter exact" n (Counter.get c "only_p1");
-          check_int "p2 counter exact" n (Counter.get c "only_p2")))
 
 (* ---------------- Harness determinism across pool widths ---------------- *)
 
@@ -368,37 +197,36 @@ let run_many_seeded_deterministic () =
 
 let obs_hook_complete_under_parallel_runs () =
   (* Every harness run must fire the hook exactly once even when runs
-     execute on pool domains; the mutex in the harness serializes the hook
-     body, so a plain counter and list suffice. *)
-  let calls = ref 0 in
-  let names = ref [] in
-  Harness.set_obs_hook
-    (Some
-       (fun info run ->
-         incr calls;
-         names := info.Harness.workload_name :: !names;
-         check "hook sees a finished run" true run.Harness.correct));
-  Fun.protect
-    ~finally:(fun () -> Harness.set_obs_hook None)
-    (fun () ->
-      with_default_jobs 4 (fun () ->
-          let cfg seed = { (Harness.Config.default ~nodes:4) with Harness.Config.seed } in
-          let runs =
-            Harness.run_many
-              (fun seed -> Harness.probe (cfg seed) Workload.fib Workload.Tiny)
-              [ 1; 2; 3; 4; 5; 6 ]
-          in
-          check_int "all runs returned" 6 (List.length runs);
-          check_int "hook fired once per run" 6 !calls;
-          check "hook saw the workload" true (List.for_all (( = ) "fib") !names)))
+     execute on pool domains; the harness serialises hook calls under its
+     mutex, so a plain counter and list suffice. *)
+  List.iter
+    (fun jobs ->
+      let calls = ref 0 in
+      let names = ref [] in
+      Harness.set_obs_hook
+        (Some
+           (fun info run ->
+             incr calls;
+             names := info.Harness.workload_name :: !names;
+             check "hook sees a finished run" true run.Harness.correct));
+      Fun.protect
+        ~finally:(fun () -> Harness.set_obs_hook None)
+        (fun () ->
+          with_default_jobs jobs (fun () ->
+              let cfg seed = { (Harness.Config.default ~nodes:4) with Harness.Config.seed } in
+              let runs =
+                Harness.run_many
+                  (fun seed -> Harness.probe (cfg seed) Workload.fib Workload.Tiny)
+                  [ 1; 2; 3; 4; 5; 6 ]
+              in
+              let at = Printf.sprintf " at jobs=%d" jobs in
+              check_int ("all runs returned" ^ at) 6 (List.length runs);
+              check_int ("hook fired once per run" ^ at) 6 !calls;
+              check ("hook saw the workload" ^ at) true (List.for_all (( = ) "fib") !names))))
+    [ 2; 4 ]
 
 let suites =
   [
-    ( "parallel.deque",
-      [
-        Alcotest.test_case "sequential grow" `Quick deque_sequential_grow;
-        Alcotest.test_case "steal vs grow race" `Quick deque_steal_grow_race;
-      ] );
     ( "parallel.pool",
       [
         Alcotest.test_case "map ordering" `Quick pool_map_ordering;
@@ -407,16 +235,10 @@ let suites =
         Alcotest.test_case "lowest-index exception" `Quick pool_lowest_index_exception;
         Alcotest.test_case "survives exception" `Quick pool_survives_exception;
         Alcotest.test_case "nested map" `Quick pool_nested_map;
+        Alcotest.test_case "nested map bounded by jobs" `Quick nested_map_bounded;
         Alcotest.test_case "jobs validation" `Quick pool_jobs_clamped;
-        Alcotest.test_case "shutdown idempotent" `Quick pool_shutdown_idempotent;
-        Alcotest.test_case "shutdown drains in-flight map" `Quick
-          pool_shutdown_drains_in_flight_map;
         Alcotest.test_case "cross-pool nested map" `Quick cross_pool_nested_map;
         Alcotest.test_case "run thunks" `Quick pool_run_thunks;
-        Alcotest.test_case "set_default_jobs refused in flight" `Quick
-          set_default_jobs_refused_in_flight;
-        Alcotest.test_case "dual-pool slots disjoint" `Quick dual_pool_slots_disjoint;
-        Alcotest.test_case "dual-pool collect exact" `Quick dual_pool_collect_exact;
       ] );
     ( "parallel.harness",
       [

@@ -26,7 +26,6 @@ module Oracle = Recflow_machine.Oracle
 module Workload = Recflow_workload.Workload
 module Chaos = Recflow_net.Chaos
 module Plan = Recflow_fault.Plan
-module Pool = Recflow_parallel.Pool
 module Value = Recflow_lang.Value
 
 let check = Alcotest.(check bool)
@@ -81,15 +80,10 @@ let scale_smoke () =
   if Sys.getenv_opt "RECFLOW_GOLDEN" = Some "print" then
     Printf.printf "    scale_golden = %S\n%!" d1;
   Alcotest.(check string) "scale digest at jobs=1" scale_golden d1;
-  (* The same run on a pool domain must reproduce the digest: the arena
+  (* The same run on a second domain must reproduce the digest: the arena
      and the incremental counters hold no domain-local or
      allocation-history-dependent state. *)
-  let pool = Pool.create ~jobs:2 () in
-  let d2 =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () -> List.hd (Pool.run pool [ scale_digest ]))
-  in
+  let d2 = Domain.join (Domain.spawn scale_digest) in
   Alcotest.(check string) "scale digest at jobs=2" d1 d2
 
 (* ---------------- counters vs brute-force recount ---------------- *)
