@@ -1,21 +1,15 @@
-(* Bechamel benchmark harness.
+(* Bechamel benchmark harness for what the end-to-end benchmark
+   (recbench/) does not measure:
 
-   Two layers:
    1. micro-benchmarks of the hot data structures (level stamps, checkpoint
       tables, the event engine, RNG, the graph evaluator, the serial
-      evaluator, the voter);
-   2. the experiments group: one hand-timed row per experiment registry id
-      — the wall-clock cost of regenerating that reproduced figure/table in
-      quick mode — plus the static cost pass under Bechamel.
+      evaluator, the voter), plus the static cost pass over every workload;
+   2. the observability A/B: the Q2-scale splice kernel with the phase
+      profiler off vs on;
+   3. --scaling-check: a warm jobs=2 sweep must beat a warm jobs=1 sweep
+      and return the same outcomes (skipped on single-core hosts).
 
-   Plus hand-timed wall-clock sections: the sequential-vs-parallel sweep
-   (best of three after an untimed pass), the observability A/B, service
-   mode and the full-size X8 grid.  Maintenance modes: --check-json (schema validation),
-   --diff OLD NEW (per-row regression gate), --scaling-check (loose
-   multicore speedup assert, skipped on single-core hosts).
-
-   The timed registry loop prints every experiment table as it goes, so
-   the benchmark log doubles as a reproduction record. *)
+   --check-json validates an emitted results file. *)
 
 open Bechamel
 
@@ -32,8 +26,6 @@ module Config = Recflow_machine.Config
 module Cluster = Recflow_machine.Cluster
 module Workload = Recflow_workload.Workload
 module Json = Recflow_obs_core.Json
-module Service = Recflow_service.Service
-module Hdr = Recflow_stats.Hdr
 
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmarks                                                    *)
@@ -128,14 +120,11 @@ let bench_vote =
 (* Shared simulation helpers                                           *)
 (* ------------------------------------------------------------------ *)
 
-let run_cluster_full cfg w size failures =
+let run_cluster cfg w size failures =
   let c = Cluster.create cfg (Workload.program w) in
   Recflow_fault.Plan.apply c failures;
   Cluster.start c ~fname:w.Workload.entry ~args:(w.Workload.args size);
-  let o = Cluster.run c in
-  (c, o)
-
-let run_cluster cfg w size failures = snd (run_cluster_full cfg w size failures)
+  Cluster.run c
 
 let synthetic = Workload.synthetic ~branching:2 ~depth:8 ~grain:60
 
@@ -176,11 +165,6 @@ let sweep_once pool =
       (o.Cluster.sim_time, o.Cluster.events, o.Cluster.answer))
     sweep_points
 
-let timed f =
-  let t0 = Unix.gettimeofday () in
-  let r = f () in
-  (r, Unix.gettimeofday () -. t0)
-
 (* Warm measurement: one untimed sweep first (page faults, caches), then
    the best of three timed repetitions. *)
 let time_sweep_warm ~jobs =
@@ -188,56 +172,14 @@ let time_sweep_warm ~jobs =
   let outcomes = sweep_once pool in
   let best = ref infinity in
   for _ = 1 to 3 do
-    let _, dt = timed (fun () -> sweep_once pool) in
-    if dt < !best then best := dt
+    let t0 = Unix.gettimeofday () in
+    ignore (sweep_once pool);
+    best := Float.min !best (Unix.gettimeofday () -. t0)
   done;
   (outcomes, !best)
 
-let report_sweep_scaling () =
-  Format.printf "@.--- sequential vs parallel synthetic sweep (%d simulations) ---@."
-    (List.length sweep_points);
-  let recommended = Domain.recommended_domain_count () in
-  let seq_outcomes, seq_t = time_sweep_warm ~jobs:1 in
-  Format.printf "  jobs=1  warm %6.3f s@." seq_t;
-  let two_outcomes, two_t = time_sweep_warm ~jobs:2 in
-  Format.printf "  jobs=2  warm %6.3f s   speedup %.2fx@." two_t (seq_t /. two_t);
-  let rec_jobs = max 2 recommended in
-  let rec_outcomes, rec_t =
-    if rec_jobs = 2 then (two_outcomes, two_t) else time_sweep_warm ~jobs:rec_jobs
-  in
-  Format.printf "  jobs=%-2d warm %6.3f s   speedup %.2fx   results %s@." rec_jobs rec_t
-    (seq_t /. rec_t)
-    (if seq_outcomes = two_outcomes && seq_outcomes = rec_outcomes then "identical" else "DIFFER");
-  if seq_outcomes <> two_outcomes || seq_outcomes <> rec_outcomes then
-    failwith "parallel sweep diverged from sequential";
-  let row name jobs wall =
-    Json.Obj
-      [
-        ("name", Json.Str name);
-        ("jobs", Json.Int jobs);
-        ("warm", Json.Bool true);
-        ("wall_s", Json.Float wall);
-        ("speedup_vs_jobs1_warm", Json.Float (seq_t /. wall));
-      ]
-  in
-  Json.Obj
-    [
-      ("simulations", Json.Int (List.length sweep_points));
-      ("recommended_domain_count", Json.Int recommended);
-      ( "rows",
-        Json.List
-          ([ row "jobs1_warm" 1 seq_t; row "jobs2_warm" 2 two_t ]
-          @
-          (* rec_jobs = 2 would duplicate the jobs2_warm row (and its name,
-             which the --diff grouping keys on), so only emit it wider. *)
-          if rec_jobs > 2 then
-            [ row (Printf.sprintf "jobs%d_warm" rec_jobs) rec_jobs rec_t ]
-          else []) );
-      ("results_identical", Json.Bool true);
-    ]
-
-(* The loose scaling gate (tools/bench_diff.sh runs it next to the diff):
-   a warm 2-domain sweep must actually beat the warm sequential one.  On a
+(* The loose scaling gate: a warm 2-domain sweep must return the
+   sequential outcomes and actually beat the warm sequential one.  On a
    single-core host there is no parallelism to measure — two domains
    timeshare one core and the gate would only measure scheduler overhead —
    so it skips rather than asserts. *)
@@ -246,8 +188,9 @@ let scaling_check () =
     Format.printf "scaling check: single-core host (recommended_domain_count=1), skipping@.";
     exit 0
   end;
-  let _, seq_t = time_sweep_warm ~jobs:1 in
-  let _, par_t = time_sweep_warm ~jobs:2 in
+  let seq_outcomes, seq_t = time_sweep_warm ~jobs:1 in
+  let par_outcomes, par_t = time_sweep_warm ~jobs:2 in
+  if seq_outcomes <> par_outcomes then failwith "parallel sweep diverged from sequential";
   let speedup = seq_t /. par_t in
   Format.printf "scaling check: jobs=1 warm %.3fs  jobs=2 warm %.3fs  speedup %.2fx@." seq_t par_t
     speedup;
@@ -331,151 +274,9 @@ let report_obs_overhead () =
       ("overhead_pct", Json.Float overhead_pct);
     ]
 
-(* Latency percentile block from one representative failure run, so the
-   bench artefact carries the same percentile vocabulary as the metrics
-   documents. *)
-let report_latency_percentiles () =
-  let c, _ = run_cluster_full (quant_cfg Config.Splice) synthetic Workload.Small [ (3000, 2) ] in
-  Json.Obj
-    (List.map
-       (fun (name, h) -> (name, Recflow_obs.Metrics.hdr_json h))
-       (Cluster.latency_hists c))
-
-let service_cfg k =
-  { (Config.default ~nodes:8) with
-    Config.recovery = Config.Splice; seed = 17;
-    service =
-      { Config.arrival_mean = 250.0; replicas = k; max_inflight = 64;
-        shed_suspect_frac = 0.9 } }
-
-let run_service ~k ~requests =
-  Service.run ~failures:[ (3000, 0); (6000, 2) ] ~config:(service_cfg k)
-    ~workload:Workload.fib ~size:Workload.Tiny ~requests ()
-
-(* Service-mode wall-clock + quality row: one 80-request stream per
-   replication degree through the same two-kill plan, reporting goodput
-   and tail latency alongside the wall time.  These are the user-facing
-   numbers of PR 8's service layer, so the bench artefact records them
-   next to the per-figure kernels. *)
-let report_service () =
-  Format.printf "@.--- service mode (80-request stream, two kills, k=1 vs k=3) ---@.";
-  let row k =
-    let requests = 80 in
-    ignore (run_service ~k ~requests);
-    let o, wall = timed (fun () -> run_service ~k ~requests) in
-    if not o.Service.all_correct then failwith "service bench stream returned a wrong answer";
-    let h = Cluster.latency o.Service.cluster "service.latency" in
-    let q p = if Hdr.count h = 0 then 0 else Hdr.quantile h p in
-    let c = o.Service.counts in
-    Format.printf
-      "  k=%d  wall %6.1f ms   completed %2d  masked %2d  recovered %2d  shed %2d   p50 %5d  p99 %5d   goodput %.2f/kt@."
-      k (wall *. 1e3) c.Service.completed c.Service.masked c.Service.recovered
-      (Service.shed c) (q 50.0) (q 99.0) o.Service.goodput;
-    Json.Obj
-      [
-        ("name", Json.Str (Printf.sprintf "service_k%d" k));
-        ("replicas", Json.Int k);
-        ("requests", Json.Int requests);
-        ("wall_s", Json.Float wall);
-        ("completed", Json.Int c.Service.completed);
-        ("masked", Json.Int c.Service.masked);
-        ("recovered", Json.Int c.Service.recovered);
-        ("shed", Json.Int (Service.shed c));
-        ("p50", Json.Int (q 50.0));
-        ("p99", Json.Int (q 99.0));
-        ("p999", Json.Int (q 99.9));
-        ("goodput", Json.Float o.Service.goodput);
-        ("all_correct", Json.Bool o.Service.all_correct);
-      ]
-  in
-  Json.Obj [ ("rows", Json.List [ row 1; row 3 ]) ]
-
-(* ------------------------------------------------------------------ *)
-(* X8 scale kernels and the memory probe                               *)
-(* ------------------------------------------------------------------ *)
-
-(* The X8 grid at full size, hand-timed: Bechamel would re-run the
-   million-task row for its whole quota.  Each row is [Exp_xscale]'s own
-   kernel under its Gc probe, so the bench and the experiment measure the
-   same run.  The row value entering the --diff gate is CPU ns per engine
-   event, which stays comparable if the grid ever grows. *)
-let report_xscale () =
-  Format.printf "@.--- X8 scale kernels (arena + streaming journal, full size) ---@.";
-  let rows =
-    List.map
-      (fun (procs, depth) ->
-        let p = Recflow_experiments.Exp_xscale.run_point ~procs ~depth in
-        if not p.correct then failwith "xscale row returned a wrong answer";
-        let cost = p.cost in
-        let ev_s = float_of_int p.events /. cost.cpu_s in
-        Format.printf
-          "  p=%-5d d=%-2d tasks %8d  cpu %6.2f s  events %9d  (%.0f ev/s)  peak heap %5.1f Mw@."
-          procs depth p.tasks cost.cpu_s p.events ev_s
-          (float_of_int cost.peak_heap_words /. 1e6);
-        let name = Printf.sprintf "xscale/p%d_d%d" procs depth in
-        let group_row = (name, Some (1e9 *. cost.cpu_s /. float_of_int p.events)) in
-        let detail =
-          Json.Obj
-            [
-              ("name", Json.Str name);
-              ("processors", Json.Int procs);
-              ("depth", Json.Int depth);
-              ("tasks", Json.Int p.tasks);
-              ("events", Json.Int p.events);
-              ("makespan", Json.Int p.makespan);
-              ("cpu_s", Json.Float cost.cpu_s);
-              ("events_per_s", Json.Float ev_s);
-              ("peak_heap_words", Json.Int cost.peak_heap_words);
-              ("allocated_words", Json.Int cost.allocated_words);
-            ]
-        in
-        (group_row, detail))
-      (Recflow_experiments.Exp_xscale.grid ~quick:false)
-  in
-  (List.map fst rows, Json.Obj [ ("rows", Json.List (List.map snd rows)) ])
-
-(* The standing memory row: the Q2 splice kernel under the same probe, so
-   the bench artefact tracks the footprint of the *default* (retaining)
-   configuration too, not just the scale path. *)
-let report_mem () =
-  let _, cost =
-    Recflow_experiments.Exp_xscale.probe (fun () ->
-        run_cluster (quant_cfg Config.Splice) synthetic Workload.Small [ (3000, 2) ])
-  in
-  Format.printf "@.--- memory probe (Q2 splice kernel) ---@.";
-  Format.printf "  peak heap %.1f Mw   allocated %.1f Mw@."
-    (float_of_int cost.peak_heap_words /. 1e6)
-    (float_of_int cost.allocated_words /. 1e6);
-  Json.Obj
-    [
-      ("kernel", Json.Str "Q2 splice, synthetic small, 1 failure");
-      ("peak_heap_words", Json.Int cost.peak_heap_words);
-      ("allocated_words", Json.Int cost.allocated_words);
-    ]
-
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
-
-(* The experiments group: one hand-timed row per registry id, each the
-   wall clock of regenerating that figure/table in quick mode — the same
-   kernels the reproduction runs, printed as they finish so the log
-   carries the rows the paper reports.  Returns the rows and the number
-   of experiments with a failing check. *)
-let report_experiments () =
-  Format.printf "@.=== reproduced tables (quick mode, one timed row per experiment) ===@.";
-  let runs =
-    List.map
-      (fun (e : Recflow_experiments.Registry.entry) ->
-        let r, wall = timed (fun () -> e.run ~quick:true ()) in
-        Format.printf "%a  [%s regenerated in %.3f s]@." Recflow_experiments.Report.pp r e.id
-          wall;
-        ((Printf.sprintf "experiments/%s" e.id, Some (1e9 *. wall)), r))
-      Recflow_experiments.Registry.all
-  in
-  ( List.map fst runs,
-    List.length
-      (List.filter (fun (_, r) -> not (Recflow_experiments.Report.all_checks_pass r)) runs) )
 
 let bench_schema = "recflow.bench/1"
 
@@ -545,7 +346,7 @@ let json_of_rows rows =
            ])
        rows)
 
-(* Validate an emitted BENCH_<n>.json with the in-tree strict parser: the
+(* Validate an emitted results file with the in-tree strict parser: the
    file must parse, carry the schema marker and at least one group with at
    least one named row.  [tools/bench_smoke.sh] drives this via the
    [@bench-smoke] alias. *)
@@ -586,141 +387,20 @@ let check_json path =
     | _ -> fail "missing groups");
     Format.printf "%s: valid %s document@." path bench_schema
 
-(* ------------------------------------------------------------------ *)
-(* Cross-PR diff                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let load_doc path =
-  if not (Sys.file_exists path) then begin
-    Format.eprintf "%s: no such file@." path;
-    exit 1
-  end;
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  match Json.parse s with
-  | Ok doc -> doc
-  | Error e ->
-    Format.eprintf "%s: JSON parse error: %s@." path e;
-    exit 1
-
-let group_rows doc gname =
-  match Json.member "groups" doc with
-  | Some (Json.List groups) ->
-    List.find_map
-      (fun g ->
-        match (Json.member "name" g, Json.member "rows" g) with
-        | Some (Json.Str n), Some (Json.List rows) when String.equal n gname ->
-          Some
-            (List.filter_map
-               (fun r ->
-                 match (Json.member "name" r, Json.member "ns_per_run" r) with
-                 | Some (Json.Str name), Some (Json.Float ns) -> Some (name, ns)
-                 | Some (Json.Str name), Some (Json.Int ns) -> Some (name, float_of_int ns)
-                 | _ -> None)
-               rows)
-        | _ -> None)
-      groups
-  | _ -> None
-
-(* Per-row wall-clock delta between two emitted bench documents.  Only the
-   [micro] group gates (exit 1 past [threshold] percent): the experiment
-   kernels run whole simulations whose event counts legitimately change
-   when an experiment grows, but the micro rows measure fixed data
-   structures — a 20% swing there is a real regression (or a real win).
-
-   The gate is *host-speed normalized*: trajectory points are recorded in
-   different sessions, and the same binary re-measured on the same
-   container has been observed ±30% across days (frequency scaling,
-   noisy neighbours).  Such a shift moves every micro row by the same
-   factor, while a real regression moves one structure against its
-   peers — so each row's new/old ratio is divided by the *median* ratio
-   of the group before the threshold applies.  Raw percentages are still
-   printed; the NORM column is what gates. *)
-let diff_json ~threshold old_path new_path =
-  let old_doc = load_doc old_path and new_doc = load_doc new_path in
-  let regressions = ref [] in
-  let diff_group ~gate gname =
-    match (group_rows old_doc gname, group_rows new_doc gname) with
-    | None, _ | _, None -> Format.printf "group %-12s absent on one side, skipped@." gname
-    | Some old_rows, Some new_rows ->
-      let median_ratio =
-        let ratios =
-          List.filter_map
-            (fun (name, nv) ->
-              match List.assoc_opt name old_rows with
-              | Some ov when ov > 0.0 -> Some (nv /. ov)
-              | _ -> None)
-            new_rows
-          |> List.sort compare |> Array.of_list
-        in
-        let n = Array.length ratios in
-        if n < 3 then 1.0
-        else if n mod 2 = 1 then ratios.(n / 2)
-        else (ratios.((n / 2) - 1) +. ratios.(n / 2)) /. 2.0
-      in
-      Format.printf "--- %s (%s -> %s)%s ---@." gname old_path new_path
-        (if gate then
-           Printf.sprintf "  [gate: +%.0f%% over the median host shift x%.2f]" threshold
-             median_ratio
-         else "  [informational]");
-      List.iter
-        (fun (name, nv) ->
-          match List.assoc_opt name old_rows with
-          | None -> Format.printf "  %-45s %14.1f ns/run   (new row)@." name nv
-          | Some ov ->
-            let pct = (nv -. ov) /. ov *. 100.0 in
-            let norm = ((nv /. ov /. median_ratio) -. 1.0) *. 100.0 in
-            let mark = if gate && norm > threshold then "  REGRESSION" else "" in
-            if gate && norm > threshold then regressions := (gname, name, norm) :: !regressions;
-            Format.printf "  %-45s %14.1f -> %12.1f ns/run  %+7.1f%%  (norm %+6.1f%%)%s@." name
-              ov nv pct norm mark)
-        new_rows;
-      List.iter
-        (fun (name, _) ->
-          if not (List.mem_assoc name new_rows) then
-            Format.printf "  %-45s (row disappeared)@." name)
-        old_rows
-  in
-  diff_group ~gate:true "micro";
-  diff_group ~gate:false "experiments";
-  (* ns-per-event of the full-size X8 rows: host-normalized like micro,
-     but informational until two trajectory points carry the group. *)
-  diff_group ~gate:false "xscale";
-  match !regressions with
-  | [] ->
-    Format.printf "@.no micro row regressed past +%.0f%% (host-normalized)@." threshold;
-    exit 0
-  | rs ->
-    Format.eprintf "@.%d micro row(s) regressed past +%.0f%% (host-normalized):@."
-      (List.length rs) threshold;
-    (* row names already carry the group prefix ("micro/...") *)
-    List.iter (fun (_, n, pct) -> Format.eprintf "  %s %+.1f%%@." n pct) rs;
-    exit 1
-
 let () =
-  let json_path = ref "BENCH_10.json" in
+  let json_path = ref None in
   let quota = ref 0.25 in
   let micro_only = ref false in
   let obs_only = ref false in
   let check = ref None in
-  let diff_old = ref "" in
-  let diff_new = ref None in
-  let diff_threshold = ref 20.0 in
   let scaling = ref false in
   let speclist =
     [
-      ("--json", Arg.Set_string json_path, "FILE  write the machine-readable results (default BENCH_10.json)");
+      ("--json", Arg.String (fun f -> json_path := Some f), "FILE  also write the machine-readable results to FILE");
       ("--quota", Arg.Set_float quota, "SEC  per-benchmark sampling quota in seconds (default 0.25)");
       ("--micro-only", Arg.Set micro_only, "  run only the data-structure micro group (smoke mode)");
       ("--obs-only", Arg.Set obs_only, "  run only the observability-overhead A/B row and exit");
       ("--check-json", Arg.String (fun f -> check := Some f), "FILE  validate an emitted results file and exit");
-      ( "--diff",
-        Arg.Tuple [ Arg.Set_string diff_old; Arg.String (fun f -> diff_new := Some f) ],
-        "OLD NEW  per-row delta of two results files; exit 1 on a micro regression" );
-      ( "--diff-threshold",
-        Arg.Set_float diff_threshold,
-        "PCT  micro regression gate for --diff in percent (default 20)" );
       ("--scaling-check", Arg.Set scaling, "  assert warm jobs=2 sweep speedup > 1.0 (skips on single-core hosts)");
     ]
   in
@@ -729,12 +409,8 @@ let () =
     "recflow benchmark harness";
   match !check with
   | Some path -> check_json path
-  | None when !diff_new <> None ->
-    diff_json ~threshold:!diff_threshold !diff_old (Option.get !diff_new)
   | None when !scaling -> scaling_check ()
-  | None when !obs_only ->
-    ignore (report_obs_overhead ());
-    exit 0
+  | None when !obs_only -> ignore (report_obs_overhead ())
   | None ->
     Format.printf "=== recflow benchmarks (Bechamel, monotonic clock) ===@.@.";
     Format.printf "--- data-structure micro-benchmarks ---@.";
@@ -743,51 +419,28 @@ let () =
         [ bench_stamp_ancestor; bench_stamp_hash; bench_ckpt_record; bench_engine; bench_rng;
           bench_serial_eval; bench_graph_eval; bench_vote ]
     in
-    let groups = ref [ ("micro", micro_rows) ] in
-    let sweep = ref Json.Null in
-    let obs_overhead = ref Json.Null in
-    let latency = ref Json.Null in
-    let service = ref Json.Null in
-    let xscale = ref Json.Null in
-    let mem = ref Json.Null in
-    let failed = ref 0 in
-    if not !micro_only then begin
-      Format.printf "@.--- static cost pass ---@.";
-      let cost_rows = run_group ~quota:!quota "experiments" [ bench_cost_pass ] in
-      let experiment_rows, experiment_failures = report_experiments () in
-      failed := experiment_failures;
-      groups := !groups @ [ ("experiments", cost_rows @ experiment_rows) ];
-      obs_overhead := report_obs_overhead ();
-      latency := report_latency_percentiles ();
-      service := report_service ();
-      sweep := report_sweep_scaling ();
-      mem := report_mem ();
-      let xscale_rows, xscale_detail = report_xscale () in
-      groups := !groups @ [ ("xscale", xscale_rows) ];
-      xscale := xscale_detail
-    end;
-    let doc =
-      Json.Obj
-        [
-          ("schema", Json.Str bench_schema);
-          ("pr", Json.Int 10);
-          ("quota_s", Json.Float !quota);
-          ( "groups",
-            Json.List
-              (List.map
-                 (fun (name, rows) ->
-                   Json.Obj [ ("name", Json.Str name); ("rows", json_of_rows rows) ])
-                 !groups) );
-          ("obs_overhead", !obs_overhead);
-          ("latency_percentiles", !latency);
-          ("service", !service);
-          ("sweep", !sweep);
-          ("mem", !mem);
-          ("xscale", !xscale);
-        ]
+    let groups, obs_overhead =
+      if !micro_only then ([ ("micro", micro_rows) ], Json.Null)
+      else begin
+        Format.printf "@.--- static cost pass ---@.";
+        let cost_rows = run_group ~quota:!quota "analysis" [ bench_cost_pass ] in
+        ([ ("micro", micro_rows); ("analysis", cost_rows) ], report_obs_overhead ())
+      end
     in
-    Json.write_file ~path:!json_path doc;
-    Format.printf "@.wrote %s@." !json_path;
-    if !micro_only then exit 0;
-    Format.printf "@.experiments with failing checks: %d@." !failed;
-    exit (if !failed = 0 then 0 else 1)
+    Option.iter
+      (fun path ->
+        Json.write_file ~path
+          (Json.Obj
+             [
+               ("schema", Json.Str bench_schema);
+               ("quota_s", Json.Float !quota);
+               ( "groups",
+                 Json.List
+                   (List.map
+                      (fun (name, rows) ->
+                        Json.Obj [ ("name", Json.Str name); ("rows", json_of_rows rows) ])
+                      groups) );
+               ("obs_overhead", obs_overhead);
+             ]);
+        Format.printf "@.wrote %s@." path)
+      !json_path

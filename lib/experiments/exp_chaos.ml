@@ -66,14 +66,8 @@ let run ?(quick = false) () =
           |> Plan.delay_spikes ~rate:0.05 ~max_delay:800
           |> Plan.partition ~from:p_from ~until:p_until ~groups:[ [ 1; 2 ] ]
         in
-        let cfg = base seed in
         let cfg =
-          {
-            cfg with
-            Config.chaos;
-            reliable = true;
-            retry = { cfg.Config.retry with Config.suspicion_after = susp };
-          }
+          { (base seed) with Config.chaos; reliable = true; suspicion_after = susp }
         in
         ((d, susp, seed), Harness.run ~drain:true cfg w size ~failures:[]))
       cells

@@ -7,11 +7,11 @@ module Counter = Recflow_stats.Counter
 module Table = Recflow_stats.Table
 module Value = Recflow_lang.Value
 
-type probe = { cpu_s : float; peak_heap_words : int; allocated_words : int }
+type probe = { cpu_s : float; peak_heap_words : int }
 
 (* Peak heap size sampled at every major-GC slice — an upper bound on peak
    live words that costs one [Gc.quick_stat] per slice instead of a heap
-   walk — plus CPU seconds and words allocated while [f] ran. *)
+   walk — plus the CPU seconds [f] took. *)
 let probe f =
   Gc.compact ();
   let peak = ref (Gc.quick_stat ()).Gc.heap_words in
@@ -20,15 +20,13 @@ let probe f =
         let h = (Gc.quick_stat ()).Gc.heap_words in
         if h > !peak then peak := h)
   in
-  let a0 = Gc.allocated_bytes () in
   let t0 = Sys.time () in
   let r = f () in
   let cpu_s = Sys.time () -. t0 in
-  let allocated_words = int_of_float ((Gc.allocated_bytes () -. a0) /. 8.0) in
   Gc.delete_alarm alarm;
   let h = (Gc.quick_stat ()).Gc.heap_words in
   if h > !peak then peak := h;
-  (r, { cpu_s; peak_heap_words = !peak; allocated_words })
+  (r, { cpu_s; peak_heap_words = !peak })
 
 type point = {
   procs : int;
@@ -36,7 +34,7 @@ type point = {
   tasks : int;  (* distributed task instances: root + every remote spawn *)
   makespan : int;
   events : int;
-  residual : int;  (* arena-resident tasks after quiescence (must be 0) *)
+  residual : int;  (* resident live tasks after quiescence (must be 0) *)
   correct : bool;
   (* Host-derived numbers: quick mode is part of the --jobs determinism
      gate, so its report must not print anything the host can perturb. *)
@@ -90,7 +88,7 @@ let run ?(quick = false) () =
   let table =
     Table.create
       ~title:
-        "Scale sweep: arena storage + O(1) journal (static placement, fault-free)"
+        "Scale sweep: tombstone retirement + O(1) journal (static placement, fault-free)"
       ~columns:
         [ "processors"; "tree depth"; "tasks"; "makespan"; "events"; "events/task";
           "peak heap (Mw)"; "cpu (s)"; "events/s"; "answer ok" ]
@@ -121,7 +119,7 @@ let run ?(quick = false) () =
         List.for_all (fun p -> p.tasks = (1 lsl p.depth) - 1) points );
       ( "event count stays linear in the task count (< 40 events/task)",
         List.for_all (fun p -> p.events < 40 * p.tasks) points );
-      ( "the arena drains: no resident tasks after quiescence",
+      ( "every task retires: no resident tasks after quiescence",
         List.for_all (fun p -> p.residual = 0) points );
       ( (if quick then "largest quick row reaches 64 processors"
          else "largest row reaches 1024 processors and >= 1M tasks"),
@@ -140,7 +138,7 @@ let run ?(quick = false) () =
   Report.make ~id:"X8" ~title:"Scale: 1024 processors, a million-task tree"
     ~paper_source:"§1 (aggregation of processors); §3.3 (dynamic allocation at scale)"
     ~notes:
-      [ "Tasks live in per-node arenas and retire to tombstones on completion; every \
+      [ "Tasks retire to slim tombstones in place on completion; every \
          message is its own delivery event; the journal streams without retention.  CPU \
          and heap columns are suppressed in quick mode so the report stays bit-identical \
          across --jobs." ]

@@ -5,7 +5,6 @@ module Value = Recflow_lang.Value
 module Graph = Recflow_lang.Graph
 module Eval_serial = Recflow_lang.Eval_serial
 module Engine = Recflow_sim.Engine
-module Rng = Recflow_sim.Rng
 module Counter = Recflow_stats.Counter
 module Hdr = Recflow_stats.Hdr
 module Router = Recflow_net.Router
@@ -14,6 +13,14 @@ module Latency = Recflow_net.Latency
 module Policy = Recflow_balance.Policy
 
 module Chaos = Recflow_net.Chaos
+
+let horizon = 200_000_000
+
+(* Reliable transport: ticks before the first retransmission of an unacked
+   send, and the exponential backoff base (attempt n waits rto·backoffⁿ). *)
+let rto = 150
+
+let backoff = 2.0
 
 type event =
   | Deliver of { src : Ids.proc_id; dst : Ids.proc_id; msg : Message.t; seq : int }
@@ -81,7 +88,6 @@ type t = {
   latency_tbl : (string, Hdr.t) Hashtbl.t;
       (** named duration histograms (net.rtt, task.sojourn, ...) — cluster
           local like [counters], so recording never crosses domains *)
-  rng : Rng.t;
   policy : Policy.t;
   mutable next_task_id : Ids.task_id;
   root : request;
@@ -205,11 +211,7 @@ let hops t ~src ~dst =
    one or more copies with extra delay. *)
 let transmit t ~extra ~src ~dst ~seq msg =
   let copy d =
-    let delay =
-      extra + d
-      + Latency.delay ~rng:(fun bound -> Rng.int t.rng bound) t.cfg.Config.latency
-          ~hops:(hops t ~src ~dst)
-    in
+    let delay = extra + d + Latency.delay ~hops:(hops t ~src ~dst) in
     Engine.schedule t.engine ~delay (Deliver { src; dst; msg; seq })
   in
   match t.chaos with
@@ -234,12 +236,7 @@ let transmit t ~extra ~src ~dst ~seq msg =
 let send_transport_ack t ~src ~dst ~seq =
   Counter.incr t.counters "net.ack_sent";
   let copy d =
-    let delay =
-      d
-      + Latency.delay ~rng:(fun bound -> Rng.int t.rng bound) t.cfg.Config.latency
-          ~hops:(hops t ~src ~dst)
-    in
-    Engine.schedule t.engine ~delay (Tack { seq })
+    Engine.schedule t.engine ~delay:(d + Latency.delay ~hops:(hops t ~src ~dst)) (Tack { seq })
   in
   match t.chaos with
   | None -> copy 0
@@ -269,7 +266,7 @@ let send_after t ~delay:extra ~src ~dst msg =
       Hashtbl.replace t.pending_sends s
         { p_src = src; p_dst = dst; p_msg = msg; p_born = now t; p_attempt = 0;
           p_settled = false };
-      Engine.schedule t.engine ~delay:(extra + t.cfg.Config.retry.Config.rto) (Retry { seq = s });
+      Engine.schedule t.engine ~delay:(extra + rto) (Retry { seq = s });
       s
     end
     else -1
@@ -334,7 +331,6 @@ let create cfg program =
     journal = Journal.create ~retain:cfg.Config.journal_retain ();
     counters = Counter.create_set ();
     latency_tbl = Hashtbl.create 8;
-    rng = Rng.create cfg.Config.seed;
     policy = Policy.create ~seed:cfg.Config.seed cfg.Config.policy;
     next_task_id = 0;
     root =
@@ -365,8 +361,8 @@ let create cfg program =
     drain = false;
     chaos =
       (* an independent stream: enabling chaos must not perturb the
-         placement / jitter draws of [t.rng], and a quiet spec must not
-         change anything at all *)
+         placement draws, and a quiet spec must not change anything at
+         all *)
       (if Chaos.quiet cfg.Config.chaos then None
        else Some (Chaos.create ~seed:(cfg.Config.seed lxor 0x5eedca05) cfg.Config.chaos));
     next_seq = 0;
@@ -431,10 +427,7 @@ let forward_orphan t req stamp (dead_parent : Packet.link) value =
   let direct =
     match Stamp.parent stamp with Some p -> Stamp.equal p req.r_stamp | None -> false
   in
-  let relay, slot =
-    if direct then (Message.To_step_parent { dead_parent }, dead_parent.Packet.slot)
-    else (Message.To_grandparent { dead_parent }, -1)
-  in
+  let relay, slot = Message.orphan_relay ~direct dead_parent in
   send t ~src:Ids.super_root ~dst:req.dest
     (Message.Result
        { stamp; value; target = { Packet.task = req.task; proc = req.dest; slot }; relay })
@@ -551,6 +544,16 @@ let fail_at t ~time pid =
     invalid_arg (Printf.sprintf "Cluster.fail_at: no processor %d" pid);
   Engine.schedule_at t.engine ~time (Fail pid)
 
+(* The super-root's own failure notice about [pid], delivered to itself
+   after [delay]: it re-dispatches every unanswered request hosted there.
+   Without recovery nothing would act on it. *)
+let notify_super_root t ~delay pid =
+  if t.cfg.Config.recovery <> Config.No_recovery then
+    Engine.schedule t.engine ~delay
+      (Deliver
+         { src = Ids.super_root; dst = Ids.super_root;
+           msg = Message.Failure_notice { failed = pid }; seq = -1 })
+
 (* Error detection: every live peer learns after a detection delay that
    grows with its distance from the failed (or suspected) node, and the
    super-root notices the loss of the root task's processor.  The suspect
@@ -562,18 +565,14 @@ let broadcast_failure t pid =
     (fun peer ->
       if Node.is_alive peer && Node.id peer <> pid then begin
         let d = Topology.ideal_distance topo pid (Node.id peer) in
-        let delay = t.cfg.Config.detect_delay + (d * t.cfg.Config.latency.Latency.per_hop) in
+        let delay = t.cfg.Config.detect_delay + (d * Latency.per_hop) in
         Engine.schedule t.engine ~delay
           (Deliver
              { src = Node.id peer; dst = Node.id peer;
                msg = Message.Failure_notice { failed = pid }; seq = -1 })
       end)
     t.node_arr;
-  if hosted_unanswered t pid && t.cfg.Config.recovery <> Config.No_recovery then
-    Engine.schedule t.engine ~delay:t.cfg.Config.detect_delay
-      (Deliver
-         { src = Ids.super_root; dst = Ids.super_root;
-           msg = Message.Failure_notice { failed = pid }; seq = -1 })
+  if hosted_unanswered t pid then notify_super_root t ~delay:t.cfg.Config.detect_delay pid
 
 let handle_fail t pid =
   let n = t.node_arr.(pid) in
@@ -592,8 +591,7 @@ let handle_fail t pid =
 
 (* Retransmission schedule: attempt n fires rto·backoffⁿ after the
    previous one, capped so a long suspicion window cannot overflow. *)
-let retry_delay t attempt =
-  let { Config.rto; backoff; _ } = t.cfg.Config.retry in
+let retry_delay attempt =
   let d = float_of_int rto *. (backoff ** float_of_int attempt) in
   max 1 (min (rto * 64) (int_of_float d))
 
@@ -632,19 +630,12 @@ let give_up t seq p =
           send_after t ~delay:t.cfg.Config.detect_delay ~src:p.p_src ~dst:pid
             (Message.Failure_notice { failed = p.p_dst }))
       t.node_arr;
-    if hosted_unanswered t p.p_dst && t.cfg.Config.recovery <> Config.No_recovery then
-      Engine.schedule t.engine ~delay:t.cfg.Config.detect_delay
-        (Deliver
-           { src = Ids.super_root; dst = Ids.super_root;
-             msg = Message.Failure_notice { failed = p.p_dst }; seq = -1 })
+    if hosted_unanswered t p.p_dst then
+      notify_super_root t ~delay:t.cfg.Config.detect_delay p.p_dst
   end;
   if p.p_src = Ids.super_root then begin
     Counter.incr t.counters "msg.bounced";
-    if unanswered_exists t && t.cfg.Config.recovery <> Config.No_recovery then
-      Engine.schedule t.engine ~delay:t.cfg.Config.bounce_delay
-        (Deliver
-           { src = Ids.super_root; dst = Ids.super_root;
-             msg = Message.Failure_notice { failed = p.p_dst }; seq = -1 })
+    if unanswered_exists t then notify_super_root t ~delay:t.cfg.Config.bounce_delay p.p_dst
   end
   else Engine.schedule t.engine ~delay:0 (Bounce { src = p.p_src; dead = p.p_dst; msg = p.p_msg })
 
@@ -712,11 +703,8 @@ let deliver_one t ~src ~dst ~seq msg =
           if src = Ids.super_root then begin
             (* the super-root's own send bounced: re-dispatch the root *)
             Counter.incr t.counters "msg.bounced";
-            if unanswered_exists t && t.cfg.Config.recovery <> Config.No_recovery then
-              Engine.schedule t.engine ~delay:t.cfg.Config.bounce_delay
-                (Deliver
-                   { src = Ids.super_root; dst = Ids.super_root;
-                     msg = Message.Failure_notice { failed = dst }; seq = -1 })
+            if unanswered_exists t then
+              notify_super_root t ~delay:t.cfg.Config.bounce_delay dst
           end
           else
             Engine.schedule t.engine ~delay:t.cfg.Config.bounce_delay
@@ -744,7 +732,7 @@ let handle_event t _at ev =
         (* the sender itself died: nobody is waiting on this delivery *)
         Hashtbl.remove t.pending_sends seq
       else begin
-        let { Config.suspicion_after; _ } = t.cfg.Config.retry in
+        let suspicion_after = t.cfg.Config.suspicion_after in
         let elapsed = now t - p.p_born in
         (* Suspicion is a verdict on the *destination*, not on one unlucky
            send: give up only when the sender has heard nothing back from
@@ -765,7 +753,7 @@ let handle_event t _at ev =
           (* how stale the payload already is when we try again *)
           record_latency t "net.retransmit_delay" (now t - p.p_born);
           transmit t ~extra:0 ~src:p.p_src ~dst:p.p_dst ~seq p.p_msg;
-          Engine.schedule t.engine ~delay:(retry_delay t p.p_attempt) (Retry { seq })
+          Engine.schedule t.engine ~delay:(retry_delay p.p_attempt) (Retry { seq })
         end
       end)
   | Bounce { src; dead; msg } ->
@@ -890,7 +878,7 @@ let request_redispatches t uid = (find_request t uid).redispatches
 let run ?(drain = false) t =
   if not t.started then invalid_arg "Cluster.run: call start first";
   t.drain <- drain;
-  Engine.run t.engine ~until:t.cfg.Config.horizon (fun at ev -> handle_event t at ev);
+  Engine.run t.engine ~until:horizon (fun at ev -> handle_event t at ev);
   {
     answer = t.answer;
     answer_time = t.answer_time;

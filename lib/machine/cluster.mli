@@ -105,9 +105,13 @@ val fail_at : t -> time:int -> Ids.proc_id -> unit
 (** Schedule a fail-stop failure.  May be called repeatedly (multiple
     faults) and before or after {!start}, but before {!run}. *)
 
+val horizon : int
+(** The hard simulation-time stop, 200,000,000 ticks: {!run} never
+    dispatches an event scheduled after it. *)
+
 val run : ?drain:bool -> t -> outcome
 (** Drive the event loop until the root answer arrives (default), the
-    event queue drains, or the horizon passes.  [drain:true] keeps going
+    event queue drains, or the {!horizon} passes.  [drain:true] keeps going
     after the answer so that straggler work and messages are accounted. *)
 
 val config : t -> Config.t

@@ -19,8 +19,6 @@ let table_mode = function
   | Fixed m -> m
   | Adaptive _ -> Recflow_recovery.Ckpt_table.Topmost
 
-type retry = { rto : int; backoff : float; suspicion_after : int }
-
 type service = {
   arrival_mean : float;
   replicas : int;
@@ -30,7 +28,6 @@ type service = {
 
 type t = {
   topology : Recflow_net.Topology.t;
-  latency : Recflow_net.Latency.t;
   policy : Recflow_balance.Policy.spec;
   recovery : recovery;
   ckpt_mode : ckpt_mode;
@@ -39,17 +36,13 @@ type t = {
   ancestor_depth : int;
   replicate_depth : int;
   inline_depth : int;
-  work_tick : int;
-  spawn_cost : int;
-  ctx_switch : int;
   detect_delay : int;
   adoption_grace : int;
   bounce_delay : int;
-  horizon : int;
   seed : int;
   chaos : Recflow_net.Chaos.spec;
   reliable : bool;
-  retry : retry;
+  suspicion_after : int;
   service : service;
   journal_retain : bool;
 }
@@ -57,7 +50,6 @@ type t = {
 let default ~nodes =
   {
     topology = Recflow_net.Topology.Full nodes;
-    latency = Recflow_net.Latency.default;
     policy = Recflow_balance.Policy.Gradient { weight = 2 };
     recovery = Splice;
     ckpt_mode = Fixed Recflow_recovery.Ckpt_table.Topmost;
@@ -66,17 +58,13 @@ let default ~nodes =
     ancestor_depth = 1;
     replicate_depth = 2;
     inline_depth = max_int;
-    work_tick = 1;
-    spawn_cost = 5;
-    ctx_switch = 1;
     detect_delay = 200;
     adoption_grace = 80;
     bounce_delay = 150;
-    horizon = 200_000_000;
     seed = 42;
     chaos = Recflow_net.Chaos.none;
     reliable = false;
-    retry = { rto = 150; backoff = 2.0; suspicion_after = 1500 };
+    suspicion_after = 1500;
     service =
       { arrival_mean = 400.0; replicas = 1; max_inflight = 64; shed_suspect_frac = 0.5 };
     journal_retain = true;
@@ -96,20 +84,12 @@ let metadata t : (string * meta_value) list =
     ("ancestor_depth", `Int t.ancestor_depth);
     ("replicate_depth", `Int t.replicate_depth);
     ("inline_depth", if t.inline_depth = max_int then `Str "unbounded" else `Int t.inline_depth);
-    ("work_tick", `Int t.work_tick);
-    ("spawn_cost", `Int t.spawn_cost);
-    ("ctx_switch", `Int t.ctx_switch);
-    ("latency_base", `Int t.latency.Recflow_net.Latency.base);
-    ("latency_per_hop", `Int t.latency.Recflow_net.Latency.per_hop);
-    ("latency_jitter", `Int t.latency.Recflow_net.Latency.jitter);
     ("detect_delay", `Int t.detect_delay);
     ("adoption_grace", `Int t.adoption_grace);
     ("bounce_delay", `Int t.bounce_delay);
     ("seed", `Int t.seed);
     ("reliable", `Bool t.reliable);
-    ("retry_rto", `Int t.retry.rto);
-    ("retry_backoff", `Str (Printf.sprintf "%g" t.retry.backoff));
-    ("suspicion_after", `Int t.retry.suspicion_after);
+    ("suspicion_after", `Int t.suspicion_after);
     ("chaos_drop_rate", `Str (Printf.sprintf "%g" t.chaos.Recflow_net.Chaos.drop_rate));
     ("chaos_dup_rate", `Str (Printf.sprintf "%g" t.chaos.Recflow_net.Chaos.dup_rate));
     ("chaos_reorder_rate", `Str (Printf.sprintf "%g" t.chaos.Recflow_net.Chaos.reorder_rate));
@@ -128,9 +108,7 @@ let validate t =
   else if t.ancestor_depth < 0 then err "ancestor_depth must be >= 0"
   else if t.replicate_depth < 0 then err "replicate_depth must be >= 0"
   else if t.inline_depth < 1 then err "inline_depth must be >= 1 (the root task is never inline)"
-  else if t.work_tick < 1 then err "work_tick must be >= 1"
-  else if t.spawn_cost < 0 || t.ctx_switch < 0 || t.ckpt_cost < 0 then
-    err "costs must be non-negative"
+  else if t.ckpt_cost < 0 then err "costs must be non-negative"
   else if t.loss_prior < 0.0 || t.loss_prior > 1.0 || Float.is_nan t.loss_prior then
     err "loss_prior must be in [0,1]"
   else if (match t.ckpt_mode with Adaptive { max_depth } -> max_depth < 1 | Fixed _ -> false)
@@ -138,10 +116,7 @@ let validate t =
   else if t.detect_delay < 1 then err "detect_delay must be >= 1"
   else if t.adoption_grace < 0 then err "adoption_grace must be >= 0"
   else if t.bounce_delay < 1 then err "bounce_delay must be >= 1"
-  else if t.horizon < 1 then err "horizon must be >= 1"
-  else if t.retry.rto < 1 then err "retry rto must be >= 1"
-  else if t.retry.backoff < 1.0 then err "retry backoff base must be >= 1"
-  else if t.reliable && t.retry.suspicion_after <= t.detect_delay then
+  else if t.reliable && t.suspicion_after <= t.detect_delay then
     err
       "suspicion_after must exceed detect_delay (timeout suspicion is the slow local fallback \
        to the failure-notice broadcast)"

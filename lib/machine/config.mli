@@ -26,17 +26,6 @@ val table_mode : ckpt_mode -> Recflow_recovery.Ckpt_table.mode
 (** The table discipline actually instantiated per node: [Adaptive]
     admission gates *entry* to a [Topmost] table. *)
 
-type retry = {
-  rto : int;  (** ticks before the first retransmission of an unacked send *)
-  backoff : float;  (** exponential backoff base: attempt n waits rto·backoffⁿ *)
-  suspicion_after : int;
-      (** ticks of silence after which the sender gives up, *suspects* the
-          destination (treats it as faulty per §1, even if it is merely
-          slow or partitioned) and routes the message down the bounce
-          recovery path.  Must exceed [detect_delay] so real failures are
-          normally announced before suspicion fires. *)
-}
-
 type service = {
   arrival_mean : float;
       (** mean inter-arrival time (ticks) of the open-loop request stream;
@@ -58,7 +47,6 @@ type service = {
 
 type t = {
   topology : Recflow_net.Topology.t;
-  latency : Recflow_net.Latency.t;
   policy : Recflow_balance.Policy.spec;
   recovery : recovery;
   ckpt_mode : ckpt_mode;
@@ -80,9 +68,6 @@ type t = {
   inline_depth : int;
       (** calls whose stamp depth would reach this value are evaluated
           inline (grain control); [max_int] spawns everything. *)
-  work_tick : int;  (** simulated ticks per unit of evaluator work *)
-  spawn_cost : int;  (** ticks to form + checkpoint + enqueue a packet *)
-  ctx_switch : int;  (** ticks to pick the next task off the run queue *)
   detect_delay : int;
       (** ticks from a processor failure until peers receive the
           error-detection notice (plus per-hop distance) *)
@@ -96,7 +81,6 @@ type t = {
           offspring and only completed orphan results are salvaged. *)
   bounce_delay : int;
       (** ticks for a sender to conclude a message was undeliverable *)
-  horizon : int;  (** hard simulation-time stop *)
   seed : int;
   chaos : Recflow_net.Chaos.spec;
       (** network perturbation (loss, duplication, reordering, delay
@@ -108,7 +92,13 @@ type t = {
           hop-to-hop, retransmitted with exponential backoff and
           deduplicated at the receiver; required whenever [chaos] can
           destroy messages *)
-  retry : retry;  (** retransmission timing (only used when [reliable]) *)
+  suspicion_after : int;
+      (** ticks of silence after which a reliable sender gives up,
+          *suspects* the destination (treats it as faulty per §1, even if
+          it is merely slow or partitioned) and routes the message down the
+          bounce recovery path.  Must exceed [detect_delay] so real
+          failures are normally announced before suspicion fires (only
+          used when [reliable]). *)
   service : service;
       (** open-loop traffic model (only used by [Recflow_service]; batch
           runs ignore it) *)

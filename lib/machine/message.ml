@@ -39,6 +39,10 @@ type t =
   | Abort of { task : Ids.task_id }
   | Failure_notice of { failed : Ids.proc_id }
 
+let orphan_relay ~direct (dead_parent : Packet.link) =
+  if direct then (To_step_parent { dead_parent }, dead_parent.Packet.slot)
+  else (To_grandparent { dead_parent }, -1)
+
 let label = function
   | Task_packet _ -> "task_packet"
   | Orphan_alive _ -> "orphan_alive"

@@ -68,6 +68,15 @@ type t =
   | Abort of { task : Ids.task_id }
   | Failure_notice of { failed : Ids.proc_id }
 
+val orphan_relay : direct:bool -> Packet.link -> relay * int
+(** How a twin's ancestor forwards an orphan's salvaged result to the twin:
+    when the orphan is a direct child of the twin ([direct]), as
+    [To_step_parent] into the dead parent's call slot (slots are graph
+    node ids, identical across activations of the same function);
+    otherwise as [To_grandparent] with slot [-1], to be driven one level
+    further down the chain of twins.  Returns the relay and the target
+    slot. *)
+
 val label : t -> string
 (** Counter key, one per variant: "task_packet", "orphan_alive",
     "reparent", "ack", "result", "gradient", "abort", "failure_notice". *)

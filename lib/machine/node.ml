@@ -8,11 +8,26 @@ module Instance = Recflow_lang.Instance
 module Counter = Recflow_stats.Counter
 module Profile = Recflow_obs_core.Profile
 
-(* Checkpoint record/discharge run once per packet — hot enough that the
-   per-span name lookup of [Profile.time] is worth skipping. *)
 let ckpt_record_probe = Profile.probe "ckpt.record"
 
 let ckpt_discharge_probe = Profile.probe "ckpt.discharge"
+
+let respawn_probe = Profile.probe "recovery.respawn"
+
+let handle_failure_probe = Profile.probe "recovery.handle_failure"
+
+let orphan_result_probe = Profile.probe "recovery.splice.orphan_result"
+
+let orphan_alive_probe = Profile.probe "recovery.splice.orphan_alive"
+
+(* The CPU cost model, in simulated ticks: per unit of evaluator work, to
+   form + checkpoint + enqueue a packet, and to pick the next task off the
+   run queue. *)
+let ticks_per_work_unit = 1
+
+let spawn_ticks = 5
+
+let switch_ticks = 1
 
 type ctx = {
   config : Config.t;
@@ -82,14 +97,13 @@ type task = {
    left are the tombstone ones — answer an Ack, absorb a duplicate
    activation, ignore a late result, apply a Reparent (possibly re-sending
    the completed value), and serve as the producer in the bounce path.
-   The task is therefore *retired* to this slim record immediately, and
-   its arena slot is recycled.
+   The task is therefore *retired* to this slim record immediately, in
+   place in its uid cell, and the full record becomes garbage.
 
-   Note on §3.3's never-reused-uid assumption: only arena *slots* are
-   recycled.  Task uids stay monotone ([ctx.fresh_task_id]) and the
-   uid-keyed index below keeps a tombstone cell per uid forever, so a late
-   message addressed to a dead uid can never be confused with a newer task
-   that happens to occupy the same arena slot. *)
+   Note on §3.3's never-reused-uid assumption: task uids stay monotone
+   ([ctx.fresh_task_id]) and the uid-keyed index below keeps a tombstone
+   cell per uid forever, so a late message addressed to a dead uid can
+   never be confused with a newer task. *)
 type retired = {
   r_tid : Ids.task_id;
   mutable r_packet : Packet.t;  (* mutable for post-mortem reparenting *)
@@ -99,7 +113,7 @@ type retired = {
   mutable r_dropped : bool;
 }
 
-type entry = Live of int  (* arena slot *) | Retired of retired
+type entry = Live of task | Retired of retired
 
 type cell = { mutable entry : entry }
 
@@ -110,15 +124,8 @@ type t = {
      cells mutate in place on retirement, so the table's iteration order
      is a pure function of the uid insertion sequence — the protocol scans
      below that walk it (abort cascades, vote accounting, producer lookup,
-     adoption reports) observe the same order as the pre-arena
-     representation, keeping runs bit-identical. *)
+     adoption reports) observe one order, keeping runs bit-identical. *)
   tasks : (Ids.task_id, cell) Hashtbl.t;
-  (* flat growable arena of the resident (live) task records, free-list
-     recycled; the dense int slots keep the live set compact no matter how
-     many tasks the run has retired *)
-  mutable arena : task option array;
-  mutable arena_n : int;  (* high-water mark *)
-  mutable free : int list;
   (* incremental load accounting: maintained on every state transition so
      the balancer/oracle queries are O(1) instead of a fold over every
      task that ever lived *)
@@ -151,9 +158,6 @@ let create nid (config : Config.t) =
     nid;
     alive = true;
     tasks = Hashtbl.create 64;
-    arena = [||];
-    arena_n = 0;
-    free = [];
     n_live = 0;
     n_blocked = 0;
     n_wasted = 0;
@@ -200,33 +204,13 @@ let runnable_tasks t =
 let wasted_work t = t.n_wasted
 
 (* ------------------------------------------------------------------ *)
-(* Arena and index plumbing                                            *)
+(* Task index plumbing                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let alloc_slot t task =
-  match t.free with
-  | s :: rest ->
-    t.free <- rest;
-    t.arena.(s) <- Some task;
-    s
-  | [] ->
-    let cap = Array.length t.arena in
-    if t.arena_n = cap then begin
-      let narena = Array.make (max 64 (cap * 2)) None in
-      Array.blit t.arena 0 narena 0 cap;
-      t.arena <- narena
-    end;
-    let s = t.arena_n in
-    t.arena_n <- s + 1;
-    t.arena.(s) <- Some task;
-    s
-
-let retire_cell t cell task =
+let retire_cell cell task =
   match cell.entry with
   | Retired _ -> ()
-  | Live s ->
-    t.arena.(s) <- None;
-    t.free <- s :: t.free;
+  | Live _ ->
     cell.entry <-
       Retired
         {
@@ -240,7 +224,7 @@ let retire_cell t cell task =
 
 let retire t task =
   match Hashtbl.find_opt t.tasks task.tid with
-  | Some cell -> retire_cell t cell task
+  | Some cell -> retire_cell cell task
   | None -> ()
 
 type lookup = Absent | Alive of task | Gone of retired
@@ -250,18 +234,16 @@ let lookup t tid =
   | None -> Absent
   | Some cell -> (
     match cell.entry with
-    | Live s -> ( match t.arena.(s) with Some task -> Alive task | None -> Absent)
+    | Live task -> Alive task
     | Retired r -> Gone r)
 
-(* Walk the resident live tasks in the index's (legacy) iteration order;
+(* Walk the resident live tasks in the index's iteration order;
    retiring the visited task in place is safe — cells mutate, the table's
    structure does not. *)
 let iter_live t f =
   Hashtbl.iter
     (fun _ cell ->
-      match cell.entry with
-      | Live s -> ( match t.arena.(s) with Some task -> f task | None -> ())
-      | Retired _ -> ())
+      match cell.entry with Live task -> f task | Retired _ -> ())
     t.tasks
 
 let set_state t task st =
@@ -307,6 +289,30 @@ let child_iter f task = match task.children with None -> () | Some h -> Hashtbl.
 let child_fold f task init =
   match task.children with None -> init | Some h -> Hashtbl.fold f h init
 
+(* [child] lies on the call chain down to [stamp]: it is that stamp or one
+   of its ancestors. *)
+let on_chain (child : child) stamp =
+  Stamp.equal child.c_stamp stamp || Stamp.is_ancestor child.c_stamp stamp
+
+(* The first child (in slot-table order) on the chain down to [stamp]. *)
+let chain_child task stamp =
+  child_fold
+    (fun _ child acc ->
+      match acc with Some _ -> acc | None -> if on_chain child stamp then Some child else None)
+    task None
+
+(* Every processor [child] was sent to is known dead: its slot needs a twin. *)
+let all_dests_dead t (child : child) =
+  List.for_all (fun (_, d) -> Hashtbl.mem t.known_dead d) child.dests
+
+(* The nearest live holder of a checkpoint on [packet]'s chain: the
+   grandparent first, then the §5.2 great-grandparent extension. *)
+let nearest_live_ancestor t (packet : Packet.t) =
+  let live (l : Packet.link) = not (Hashtbl.mem t.known_dead l.Packet.proc) in
+  match packet.Packet.grandparent with
+  | Some gp when live gp -> Some gp
+  | Some _ | None -> List.find_opt live packet.Packet.ancestors
+
 type task_view = {
   v_stamp : Stamp.t;
   v_task : Ids.task_id;
@@ -350,19 +356,19 @@ let recount t =
   Hashtbl.iter
     (fun _ cell ->
       match cell.entry with
-      | Live s -> (
-        match t.arena.(s) with
-        | Some task ->
-          if task_live task then incr live;
-          if task.state = Blocked then incr blocked;
-          if task.state = Aborted || task.result_dropped then wasted := !wasted + task.work
-        | None -> ())
+      | Live task ->
+        if task_live task then incr live;
+        if task.state = Blocked then incr blocked;
+        if task.state = Aborted || task.result_dropped then wasted := !wasted + task.work
       | Retired r ->
         if r.r_state = Aborted || r.r_dropped then wasted := !wasted + r.r_work)
     t.tasks;
   (!live, !blocked, !wasted)
 
-let resident_tasks t = t.arena_n - List.length t.free
+let resident_tasks t =
+  Hashtbl.fold
+    (fun _ cell n -> match cell.entry with Live _ -> n + 1 | Retired _ -> n)
+    t.tasks 0
 
 (* ------------------------------------------------------------------ *)
 (* CPU scheduling                                                      *)
@@ -527,9 +533,7 @@ let forward_orphan_alive t ctx (child : child) ~ostamp ~orphan ~dead_parent =
 let flush_adopt_pending t ctx task (child : child) =
   if task.adopt_pending <> [] then begin
     let covered (ostamp, _, _) =
-      match Stamp.parent ostamp with
-      | Some ps -> Stamp.equal child.c_stamp ps || Stamp.is_ancestor child.c_stamp ps
-      | None -> false
+      match Stamp.parent ostamp with Some ps -> on_chain child ps | None -> false
     in
     let matches, rest = List.partition covered task.adopt_pending in
     task.adopt_pending <- rest;
@@ -542,9 +546,7 @@ let flush_adopt_pending t ctx task (child : child) =
 let flush_gc_pending t ctx task (child : child) =
   if task.gc_pending <> [] then begin
     let covered (ostamp, _, _) =
-      match Stamp.parent ostamp with
-      | Some ps -> Stamp.equal child.c_stamp ps || Stamp.is_ancestor child.c_stamp ps
-      | None -> false
+      match Stamp.parent ostamp with Some ps -> on_chain child ps | None -> false
     in
     let matches, rest = List.partition covered task.gc_pending in
     task.gc_pending <- rest;
@@ -557,10 +559,7 @@ let flush_gc_pending t ctx task (child : child) =
             | Some ps -> Stamp.equal child.c_stamp ps
             | None -> false
           in
-          let relay, tslot =
-            if direct then (Message.To_step_parent { dead_parent }, dead_parent.Packet.slot)
-            else (Message.To_grandparent { dead_parent }, -1)
-          in
+          let relay, tslot = Message.orphan_relay ~direct dead_parent in
           Counter.incr ctx.counters "relay.forwarded";
           Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:ostamp
             (Journal.Relayed { via = t.nid });
@@ -630,7 +629,7 @@ let spawn_child t ctx task ~slot ~fname ~args =
    same return linkage — so by determinacy the regenerated activation is a
    functional twin of the lost one. *)
 let respawn_child t ctx _task (child : child) ~reason =
-  Profile.time "recovery.respawn" @@ fun () ->
+  Profile.time_probe respawn_probe @@ fun () ->
   let replicas = List.length child.dests in
   Profile.time_probe ckpt_discharge_probe (fun () ->
       List.iter
@@ -697,18 +696,7 @@ let return_result_from t ctx ~(packet : Packet.t) ~tid ~mark_dropped value =
   else begin
     match ctx.config.recovery with
     | Config.Splice when ctx.config.ancestor_depth >= 1 -> (
-      (* Climb the ancestor links (grandparent first, then the §5.2
-         great-grandparent extension when enabled) to the nearest live
-         holder of a checkpoint on our chain. *)
-      let candidates =
-        (match packet.Packet.grandparent with Some gp -> [ gp ] | None -> [])
-        @ packet.Packet.ancestors
-      in
-      match
-        List.find_opt
-          (fun (l : Packet.link) -> not (Hashtbl.mem t.known_dead l.Packet.proc))
-          candidates
-      with
+      match nearest_live_ancestor t packet with
       | Some live_ancestor ->
         Counter.incr ctx.counters "relay.sent";
         ctx.send ~src:t.nid ~dst:live_ancestor.Packet.proc
@@ -782,7 +770,7 @@ let abort_orphans t ctx ~failed =
    recovery. *)
 let handle_failure ?(reason = "notice") t ctx ~failed =
   if not (Hashtbl.mem t.known_dead failed) then
-    Profile.time "recovery.handle_failure" @@ fun () ->
+    Profile.time_probe handle_failure_probe @@ fun () ->
     begin
     mark_dead t failed;
     let drained = Ckpt_table.on_failure t.ckpts ~failed in
@@ -866,7 +854,7 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
                   (not child.filled)
                   && child.vote = None
                   && child.dests <> []
-                  && List.for_all (fun (_, d) -> Hashtbl.mem t.known_dead d) child.dests
+                  && all_dests_dead t child
                 then respawn_child t ctx task child ~reason:"local-regen")
               task)
       in
@@ -898,15 +886,7 @@ let handle_failure ?(reason = "notice") t ctx ~failed =
               && not task.adoption_reported
             then begin
               task.adoption_reported <- true;
-              let candidates =
-                (match task.packet.Packet.grandparent with Some gp -> [ gp ] | None -> [])
-                @ task.packet.Packet.ancestors
-              in
-              match
-                List.find_opt
-                  (fun (l : Packet.link) -> not (Hashtbl.mem t.known_dead l.Packet.proc))
-                  candidates
-              with
+              match nearest_live_ancestor t task.packet with
               | Some anc ->
                 Counter.incr ctx.counters "adopt.sent";
                 ctx.send ~src:t.nid ~dst:anc.Packet.proc
@@ -980,7 +960,7 @@ let deliver_result_into t ctx task ~slot ~stamp value =
    - a twin that has not spawned the next chain link yet stashes the
      orphan result ([gc_pending]) and forwards when the spawn happens. *)
 let handle_grandchild_result t ctx task ~(dead_parent : Packet.link) ~slot ~stamp value =
-  Profile.time "recovery.splice.orphan_result" @@ fun () ->
+  Profile.time_probe orphan_result_probe @@ fun () ->
   handle_failure ~reason:"orphan-result" t ctx ~failed:dead_parent.Packet.proc;
   let drop reason =
     Counter.incr ctx.counters "relay.dropped";
@@ -992,31 +972,12 @@ let handle_grandchild_result t ctx task ~(dead_parent : Packet.link) ~slot ~stam
   | Some parent_stamp -> (
     (* Locate the chain child: by slot when the stamps agree (the direct
        grandparent case), otherwise by stamp ancestry. *)
-    let by_slot =
+    let link =
       match child_find task slot with
-      | Some child
-        when Stamp.equal child.c_stamp parent_stamp
-             || Stamp.is_ancestor child.c_stamp parent_stamp ->
-        Some child
-      | Some _ | None -> None
+      | Some child when on_chain child parent_stamp -> Some child
+      | Some _ | None -> chain_child task parent_stamp
     in
-    let chain_child =
-      match by_slot with
-      | Some _ -> by_slot
-      | None ->
-        child_fold
-          (fun _ child acc ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-              if
-                Stamp.equal child.c_stamp parent_stamp
-                || Stamp.is_ancestor child.c_stamp parent_stamp
-              then Some child
-              else None)
-          task None
-    in
-    match chain_child with
+    match link with
     | None ->
       (* The chain link is not spawned yet (this task is itself a twin
          that has not reached that call): hold the salvaged result. *)
@@ -1025,16 +986,13 @@ let handle_grandchild_result t ctx task ~(dead_parent : Packet.link) ~slot ~stam
     | Some child ->
       if child.filled then drop "parent slot already filled"
       else begin
-        if List.for_all (fun (_, d) -> Hashtbl.mem t.known_dead d) child.dests then
-          respawn_child t ctx task child ~reason:"orphan-result";
+        if all_dests_dead t child then respawn_child t ctx task child ~reason:"orphan-result";
         match (child.dests, child.ctasks) with
         | (_, twin_proc) :: _, (_, twin_task) :: _ ->
           Counter.incr ctx.counters "relay.forwarded";
           Journal.record ctx.journal ~time:(ctx.now ()) ~stamp (Journal.Relayed { via = t.nid });
           let relay, tslot =
-            if Stamp.equal child.c_stamp parent_stamp then
-              (Message.To_step_parent { dead_parent }, dead_parent.Packet.slot)
-            else (Message.To_grandparent { dead_parent }, -1)
+            Message.orphan_relay ~direct:(Stamp.equal child.c_stamp parent_stamp) dead_parent
           in
           ctx.send ~src:t.nid ~dst:twin_proc
             (Message.Result
@@ -1054,7 +1012,7 @@ let handle_grandchild_result t ctx task ~(dead_parent : Packet.link) ~slot ~stam
    inherited instead of cloned. *)
 let handle_orphan_alive t ctx task ~ostamp ~(orphan : Packet.link)
     ~(dead_parent : Packet.link) =
-  Profile.time "recovery.splice.orphan_alive" @@ fun () ->
+  Profile.time_probe orphan_alive_probe @@ fun () ->
   handle_failure ~reason:"orphan-alive" t ctx ~failed:dead_parent.Packet.proc;
   match Stamp.parent ostamp with
   | None -> Counter.incr ctx.counters "adopt.dropped"
@@ -1073,28 +1031,14 @@ let handle_orphan_alive t ctx task ~ostamp ~(orphan : Packet.link)
       end
     end
     else begin
-      let chain_child =
-        child_fold
-          (fun _ child acc ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-              if
-                Stamp.equal child.c_stamp parent_stamp
-                || Stamp.is_ancestor child.c_stamp parent_stamp
-              then Some child
-              else None)
-          task None
-      in
-      match chain_child with
+      match chain_child task parent_stamp with
       | None ->
         task.adopt_pending <- (ostamp, orphan, dead_parent) :: task.adopt_pending;
         Counter.incr ctx.counters "adopt.stashed"
       | Some child ->
         if child.filled then Counter.incr ctx.counters "adopt.dropped"
         else begin
-          if List.for_all (fun (_, d) -> Hashtbl.mem t.known_dead d) child.dests then
-            respawn_child t ctx task child ~reason:"orphan-alive";
+          if all_dests_dead t child then respawn_child t ctx task child ~reason:"orphan-alive";
           forward_orphan_alive t ctx child ~ostamp ~orphan ~dead_parent
         end
     end
@@ -1102,6 +1046,21 @@ let handle_orphan_alive t ctx task ~ostamp ~(orphan : Packet.link)
 (* ------------------------------------------------------------------ *)
 (* Message delivery                                                    *)
 (* ------------------------------------------------------------------ *)
+
+(* Positive acknowledgement of an activation: moves the spawn out of
+   transient state b/d (§4.3.2).  The super-root does not track acks. *)
+let send_ack t ctx (packet : Packet.t) ~task_id =
+  let parent = packet.Packet.parent in
+  if parent.Packet.proc <> Ids.super_root then
+    ctx.send ~src:t.nid ~dst:parent.Packet.proc
+      (Message.Ack
+         {
+           child_stamp = packet.Packet.stamp;
+           child_task = task_id;
+           child_proc = t.nid;
+           parent_task = parent.Packet.task;
+           slot = parent.Packet.slot;
+         })
 
 let activate_task t ctx packet ~task_id =
   let graph = ctx.template packet.Packet.fname in
@@ -1124,24 +1083,11 @@ let activate_task t ctx packet ~task_id =
       adoption_reported = false;
     }
   in
-  let slot = alloc_slot t task in
-  Hashtbl.replace t.tasks task_id { entry = Live slot };
+  Hashtbl.replace t.tasks task_id { entry = Live task };
   t.n_live <- t.n_live + 1;
   Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
     (Journal.Activated { task = task_id; proc = t.nid });
-  (* Positive acknowledgement: moves the spawn out of transient state b/d
-     (§4.3.2).  The super-root does not track acks. *)
-  let parent = packet.Packet.parent in
-  if parent.Packet.proc <> Ids.super_root then
-    ctx.send ~src:t.nid ~dst:parent.Packet.proc
-      (Message.Ack
-         {
-           child_stamp = packet.Packet.stamp;
-           child_task = task_id;
-           child_proc = t.nid;
-           parent_task = parent.Packet.task;
-           slot = parent.Packet.slot;
-         });
+  send_ack t ctx packet ~task_id;
   Queue.add task_id t.run_queue;
   ensure_stepping t ctx;
   task
@@ -1159,17 +1105,7 @@ let deliver t ctx msg =
       Counter.incr ctx.counters "dup.task_packet";
       Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:packet.Packet.stamp
         (Journal.Duplicate_ignored { task = task_id });
-      let parent = packet.Packet.parent in
-      if parent.Packet.proc <> Ids.super_root then
-        ctx.send ~src:t.nid ~dst:parent.Packet.proc
-          (Message.Ack
-             {
-               child_stamp = packet.Packet.stamp;
-               child_task = task_id;
-               child_proc = t.nid;
-               parent_task = parent.Packet.task;
-               slot = parent.Packet.slot;
-             })
+      send_ack t ctx packet ~task_id
     | Message.Task_packet { packet; task_id; replica = _; replicas = _ } ->
       let task = activate_task t ctx packet ~task_id in
       (* A grace-delayed twin may have been overtaken by adoption reports
@@ -1310,8 +1246,7 @@ let handle_bounce t ctx ~dead msg =
       | Alive task -> (
         match child_find task packet.Packet.parent.Packet.slot with
         | Some child when not child.filled ->
-          if List.for_all (fun (_, d) -> Hashtbl.mem t.known_dead d) child.dests then
-            respawn_child t ctx task child ~reason:"bounced-packet"
+          if all_dests_dead t child then respawn_child t ctx task child ~reason:"bounced-packet"
         | Some _ | None -> ()))
     | Message.Result ({ relay = Message.To_parent; _ } as r) -> (
       (* The paper's D4 moment: the return found its parent dead. *)
@@ -1381,7 +1316,7 @@ let rec pick_next t ctx =
     | Alive task ->
       set_state t task Running;
       t.current <- Some tid;
-      ctx.wake t.nid ~delay:ctx.config.ctx_switch
+      ctx.wake t.nid ~delay:switch_ticks
     | Gone _ | Absent -> pick_next t ctx)
 
 let step t ctx =
@@ -1396,7 +1331,7 @@ let step t ctx =
       | Alive task -> (
           match Instance.step task.inst with
           | Instance.Work { cost } ->
-            let ticks = cost * ctx.config.work_tick in
+            let ticks = cost * ticks_per_work_unit in
             charge t task ticks;
             ctx.wake t.nid ~delay:(max 1 ticks)
           | Instance.Spawn { slot; fname; args } -> (
@@ -1471,7 +1406,7 @@ let step t ctx =
               if should_inline ctx task then begin
                 match ctx.inline_eval fname args with
                 | Ok (v, steps) ->
-                  let ticks = max 1 (steps * ctx.config.work_tick) in
+                  let ticks = max 1 (steps * ticks_per_work_unit) in
                   charge t task ticks;
                   Instance.supply task.inst slot v;
                   Counter.incr ctx.counters "spawn.inline";
@@ -1483,7 +1418,7 @@ let step t ctx =
               end
               else begin
                 let recorded = spawn_child t ctx task ~slot ~fname ~args in
-                let cost = ctx.config.spawn_cost + (recorded * ctx.config.ckpt_cost) in
+                let cost = spawn_ticks + (recorded * ctx.config.ckpt_cost) in
                 charge t task cost;
                 ctx.wake t.nid ~delay:(max 1 cost)
               end))
@@ -1515,15 +1450,12 @@ let kill t ctx =
     Hashtbl.iter
       (fun _ cell ->
         match cell.entry with
-        | Live s -> (
-          match t.arena.(s) with
-          | Some task when task_live task ->
-            Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:task.packet.Packet.stamp
-              (Journal.Lost { task = task.tid; proc = t.nid; work = task.work });
-            set_state t task Aborted;
-            t.n_wasted <- t.n_wasted + task.work;
-            retire_cell t cell task
-          | Some _ | None -> ())
-        | Retired _ -> ())
+        | Live task when task_live task ->
+          Journal.record ctx.journal ~time:(ctx.now ()) ~stamp:task.packet.Packet.stamp
+            (Journal.Lost { task = task.tid; proc = t.nid; work = task.work });
+          set_state t task Aborted;
+          t.n_wasted <- t.n_wasted + task.work;
+          retire_cell cell task
+        | Live _ | Retired _ -> ())
       t.tasks
   end

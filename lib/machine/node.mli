@@ -123,8 +123,8 @@ val wasted_work : t -> int
     results were dropped. *)
 
 val resident_tasks : t -> int
-(** Live task records currently held in the arena (= {!live_tasks} at
-    quiescence; the arena recycles slots of finished tasks). *)
+(** Task records not yet retired to tombstones (= {!live_tasks} at
+    quiescence).  A fold over the task index; not for hot paths. *)
 
 val recount : t -> int * int * int
 (** [(live, blocked, wasted)] recomputed by brute force over every

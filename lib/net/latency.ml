@@ -1,14 +1,7 @@
-type t = { base : int; per_hop : int; jitter : int }
+let base = 20
 
-let default = { base = 20; per_hop = 10; jitter = 0 }
+let per_hop = 10
 
-let no_jitter ~base ~per_hop = { base; per_hop; jitter = 0 }
-
-let delay ?rng t ~hops =
+let delay ~hops =
   if hops < 0 then invalid_arg "Latency.delay: negative hop count";
-  let fixed = t.base + (t.per_hop * hops) in
-  if t.jitter <= 0 then fixed
-  else
-    match rng with
-    | None -> fixed
-    | Some draw -> fixed + draw (t.jitter + 1)
+  base + (per_hop * hops)

@@ -1,16 +1,8 @@
-(** Message latency model.
+(** Message latency model: [20 + per_hop * hops] simulation ticks, a
+    switch-traversal dominated model with no jitter. *)
 
-    Latency is [base + per_hop * hops], optionally with deterministic
-    pseudo-random jitter in [\[0, jitter\]] drawn from a caller-supplied
-    generator.  All quantities are simulation ticks. *)
+val per_hop : int
+(** 10 ticks. *)
 
-type t = { base : int; per_hop : int; jitter : int }
-
-val default : t
-(** base 20, per_hop 10, jitter 0 — a switch traversal dominated model. *)
-
-val no_jitter : base:int -> per_hop:int -> t
-
-val delay : ?rng:(int -> int) -> t -> hops:int -> int
-(** [delay ~rng m ~hops]; [rng bound] must return a value in [\[0, bound)]
-    and is consulted only when [m.jitter > 0]. *)
+val delay : hops:int -> int
+(** @raise Invalid_argument on a negative hop count. *)

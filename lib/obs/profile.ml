@@ -5,7 +5,7 @@
    dispatch, checkpoint record, recovery splice) take no lock.  The one
    mutex below guards only the registry of per-domain states and is hit
    once per domain lifetime, at first use.  When disabled (the default)
-   [time] is a single flag test. *)
+   [time_probe] is a single flag test. *)
 
 type tally = { mutable count : int; mutable total : float; mutable self : float }
 
@@ -75,18 +75,10 @@ let span s t f =
     finish ();
     raise e
 
-let time name f =
-  if not !enabled then f ()
-  else begin
-    let s = Domain.DLS.get dkey in
-    span s (tally_of s name) f
-  end
-
 (* A probe caches its tally per domain so the hot path skips the string
-   hash and [find_opt] of {!time} — each span is then just the two clock
-   reads plus the frame push.  The cached tally lives in the domain's
-   ordinary tally table (and {!reset} zeroes tallies in place), so
-   snapshot/reset see probe spans exactly like named ones. *)
+   hash and [find_opt] — each span is then just the two clock reads plus
+   the frame push.  The cached tally lives in the domain's tally table
+   (and {!reset} zeroes tallies in place), so snapshot/reset see it. *)
 type nonrec probe = tally Domain.DLS.key
 
 let probe name =

@@ -1,12 +1,13 @@
 (** Phase profiler: scoped wall-clock timers with self-time attribution.
 
-    Call sites wrap interesting phases ([engine.dispatch], [ckpt.record],
-    [recovery.splice], ...) in {!time}; when profiling is enabled the
-    elapsed wall time is charged to the named phase, and time spent in
-    nested {!time} scopes is subtracted to give exclusive "self" time.
-    State is sharded per domain (DLS), so instrumented hot paths never
-    contend on a lock; when disabled — the default — {!time} is a single
-    flag test plus the cost of the wrapped call.
+    Call sites create one {!probe} per phase at module init
+    ([engine.dispatch], [ckpt.record], [recovery.respawn], ...) and wrap
+    the phase in {!time_probe}; when profiling is enabled the elapsed wall
+    time is charged to the named phase, and time spent in nested scopes is
+    subtracted to give exclusive "self" time.  State is sharded per domain
+    (DLS), so instrumented hot paths never contend on a lock; when
+    disabled — the default — {!time_probe} is a single flag test plus the
+    cost of the wrapped call.
 
     The aggregate is exported as a [recflow.profile/1] JSON document
     ({!to_json}) or an ASCII self-time table ({!pp_report}); the CLI
@@ -22,24 +23,19 @@ val reset : unit -> unit
 (** Zero all tallies on every domain (keeps profiling enabled/disabled as
     it was).  Call between measured runs, while no run is in flight. *)
 
-val time : string -> (unit -> 'a) -> 'a
-(** [time phase f] runs [f ()], charging its wall time to [phase] on the
-    calling domain.  Exceptions propagate; the span still closes.  When
-    profiling is disabled this is just [f ()]. *)
-
 type probe
-(** A pre-resolved phase handle for call sites hot enough that the
-    per-span string hash and tally lookup of {!time} would show up
-    (checkpoint record/discharge run per packet).  The handle caches the
-    tally per domain; spans through it are indistinguishable from
-    {!time} spans in snapshots and reports. *)
+(** A pre-resolved phase handle: it caches the phase's tally per domain,
+    so a span costs no name lookup.  Probes created with the same name
+    share one phase. *)
 
 val probe : string -> probe
 (** Create once (at module init), use from any domain. *)
 
 val time_probe : probe -> (unit -> 'a) -> 'a
-(** Like {!time}, through a {!probe}: two clock reads and a frame push
-    per span, no name lookup.  When disabled this is just [f ()]. *)
+(** [time_probe p f] runs [f ()], charging its wall time to [p]'s phase on
+    the calling domain: two clock reads and a frame push per span.
+    Exceptions propagate; the span still closes.  When profiling is
+    disabled this is just [f ()]. *)
 
 type entry = { name : string; count : int; total_s : float; self_s : float }
 (** [total_s] is inclusive wall time; [self_s] excludes time spent in

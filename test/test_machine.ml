@@ -321,7 +321,6 @@ let config_validation () =
   in
   check "replicate too big" true (bad (fun c -> { c with Config.recovery = Config.Replicate 9 }));
   check "replicate zero" true (bad (fun c -> { c with Config.recovery = Config.Replicate 0 }));
-  check "bad work_tick" true (bad (fun c -> { c with Config.work_tick = 0 }));
   check "bad inline_depth" true (bad (fun c -> { c with Config.inline_depth = 0 }));
   check "negative ancestor depth" true (bad (fun c -> { c with Config.ancestor_depth = -1 }));
   (* transport / chaos knobs: each bad value must name its own rule *)
@@ -331,12 +330,6 @@ let config_validation () =
     | Error m -> String.equal m msg
     | Ok () -> false
   in
-  check "bad rto" true
-    (bad_msg "retry rto must be >= 1" (fun c ->
-         { c with Config.retry = { c.Config.retry with Config.rto = 0 } }));
-  check "bad backoff" true
-    (bad_msg "retry backoff base must be >= 1" (fun c ->
-         { c with Config.retry = { c.Config.retry with Config.backoff = 0.5 } }));
   check "suspicion under detect_delay" true
     (bad_msg
        "suspicion_after must exceed detect_delay (timeout suspicion is the slow local \
@@ -344,7 +337,7 @@ let config_validation () =
        (fun c ->
          { c with
            Config.reliable = true;
-           retry = { c.Config.retry with Config.suspicion_after = c.Config.detect_delay } }));
+           suspicion_after = c.Config.detect_delay }));
   check "bad drop rate" true
     (bad_msg "chaos drop_rate must be in [0,1)" (fun c ->
          { c with
@@ -399,11 +392,18 @@ let config_validation () =
     = Ok ());
   check "default valid" true (Config.validate (Config.default ~nodes:4) = Ok ())
 
+(* An event scheduled past the horizon never fires: the processor it would
+   kill survives a drained run, and the queue still holds it. *)
 let horizon_stops () =
-  let cfg = { (Config.default ~nodes:2) with Config.horizon = 50 } in
-  let _, o = run ~cfg Workload.fib Workload.Small in
-  check "no answer within tiny horizon" true (o.Cluster.answer = None);
-  check "stopped at/before horizon" true (o.Cluster.sim_time <= 50)
+  let c = Cluster.create (Config.default ~nodes:2) (Workload.program Workload.fib) in
+  Cluster.start c ~fname:Workload.fib.Workload.entry
+    ~args:(Workload.fib.Workload.args Workload.Small);
+  Cluster.fail_at c ~time:(Cluster.horizon + 1) 1;
+  let o = Cluster.run ~drain:true c in
+  check "answer before the horizon" true (o.Cluster.answer <> None);
+  check "stopped at/before horizon" true (o.Cluster.sim_time <= Cluster.horizon);
+  check "failure past the horizon never fired" true (Node.is_alive (Cluster.node c 1));
+  check "it is still queued" false (Cluster.quiescent c)
 
 let dead_nodes_mark_tasks () =
   let cfg = { (Config.default ~nodes:4) with Config.recovery = Config.Rollback } in

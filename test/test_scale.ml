@@ -1,13 +1,13 @@
-(* Scale smoke and arena invariants for the reworked hot data plane.
+(* Scale smoke and task-store invariants for the reworked hot data plane.
 
-   The arena task store and the O(1) load counters were introduced to
-   push the machine to 1k+ processors and ~10^5..10^6 tasks without
-   changing behaviour.  This file pins that claim from two sides:
+   Tombstone retirement of finished tasks and the O(1) load counters were
+   introduced to push the machine to 1k+ processors and ~10^5..10^6 tasks
+   without changing behaviour.  This file pins that claim from two sides:
 
    - a 1024-processor, ~131k-task run with chaos and one mid-run failure
      must satisfy the recovery oracle, reproduce the serial answer, and
      replay byte-identically — the journal digest is pinned as a golden
-     and re-checked on a pool domain (jobs=2), so no arena state may
+     and re-checked on a pool domain (jobs=2), so no task-store state may
      leak between domains or depend on allocation history;
    - a QCheck property drives random small clusters through random
      failures and compares the incremental counters ([Node.live_tasks],
@@ -80,8 +80,8 @@ let scale_smoke () =
   if Sys.getenv_opt "RECFLOW_GOLDEN" = Some "print" then
     Printf.printf "    scale_golden = %S\n%!" d1;
   Alcotest.(check string) "scale digest at jobs=1" scale_golden d1;
-  (* The same run on a second domain must reproduce the digest: the arena
-     and the incremental counters hold no domain-local or
+  (* The same run on a second domain must reproduce the digest: the task
+     index and the incremental counters hold no domain-local or
      allocation-history-dependent state. *)
   let d2 = Domain.join (Domain.spawn scale_digest) in
   Alcotest.(check string) "scale digest at jobs=2" d1 d2

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Scale smoke test: the arena data plane at 1024 processors —
+# Scale smoke test: the task-store data plane at 1024 processors —
 # golden journal digest (replayed on a second domain too, so the rework
 # cannot hide domain-local state) plus the QCheck property pinning the
 # O(1) load counters to a brute-force recount.  Wraps the dune alias so
