@@ -216,6 +216,12 @@ let is_ancestor a b =
 
 let is_descendant a b = is_ancestor b a
 
+module Map = Stdlib.Map.Make (struct
+  type nonrec t = t
+
+  let compare = compare
+end)
+
 let related a b = equal a b || is_ancestor a b || is_ancestor b a
 
 let common_ancestor a b =

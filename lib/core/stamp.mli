@@ -31,6 +31,8 @@ val digit : t -> int -> int
     @raise Invalid_argument out of range. *)
 
 val digits : t -> int list
+(** Every digit, root first.  Allocates a list; index a table with {!Map}
+    and read a single digit with {!digit} instead. *)
 
 val of_digits : int list -> t
 (** @raise Invalid_argument on a negative digit. *)
@@ -45,6 +47,11 @@ val is_ancestor : t -> t -> bool
 
 val is_descendant : t -> t -> bool
 (** [is_descendant a b]: [a] is a proper descendant of [b]. *)
+
+module Map : Stdlib.Map.S with type key = t
+(** Maps keyed by the stamp itself, ordered by {!compare}.  Never hashes,
+    so stamps that share a long prefix cannot collide — the key to use
+    wherever a stamp indexes a table. *)
 
 val related : t -> t -> bool
 (** Same genealogical line: equal, ancestor or descendant. *)

@@ -46,27 +46,30 @@ type probe_info = {
   makespan : int;
 }
 
-let first_event journal stamp pred =
+(* [idx] is the probe run's {!Journal.by_stamp}. *)
+let events idx stamp = Option.value ~default:[] (Stamp.Map.find_opt stamp idx)
+
+let first_event idx stamp pred =
   List.find_map
     (fun (e : Journal.entry) -> if pred e.Journal.event then Some e.Journal.time else None)
-    (Journal.for_stamp journal stamp)
+    (events idx stamp)
 
-let original_task journal stamp =
+let original_task idx stamp =
   List.find_map
     (fun (e : Journal.entry) ->
       match e.Journal.event with Journal.Spawned { task; _ } -> Some task | _ -> None)
-    (Journal.for_stamp journal stamp)
+    (events idx stamp)
 
-let host_of journal stamp =
+let host_of idx stamp =
   List.find_map
     (fun (e : Journal.entry) ->
       match e.Journal.event with Journal.Activated { proc; _ } -> Some proc | _ -> None)
-    (Journal.for_stamp journal stamp)
+    (events idx stamp)
 
 let probe cfg ~cw ~dw =
   let w = workload ~cw ~dw in
   let r = Harness.probe cfg w Workload.Small in
-  let j = Cluster.journal r.Harness.cluster in
+  let j = Journal.by_stamp (Cluster.journal r.Harness.cluster) in
   {
     root_host = host_of j Stamp.root;
     p_host = host_of j p_stamp;
@@ -85,15 +88,15 @@ let probe cfg ~cw ~dw =
    the C spawned by the original P, i.e. spawned before P failed — if the
    first spawn of C's stamp happens after the failure it is already the
    clone C′ and the original C was never invoked (case 1). *)
-let timeline journal ~fail_time =
-  let orig_p = original_task journal p_stamp in
+let timeline idx ~fail_time =
+  let orig_p = original_task idx p_stamp in
   let orig_c =
     List.find_map
       (fun (e : Journal.entry) ->
         match e.Journal.event with
         | Journal.Spawned { task; _ } when e.Journal.time < fail_time -> Some task
         | _ -> None)
-      (Journal.for_stamp journal c_stamp)
+      (events idx c_stamp)
   in
   let time_of stamp ~orig ~want_original pred =
     List.find_map
@@ -106,7 +109,7 @@ let timeline journal ~fail_time =
           let is_orig = Some task = orig in
           if is_orig = want_original then Some e.Journal.time else None
         | _ -> None)
-      (Journal.for_stamp journal stamp)
+      (events idx stamp)
   in
   {
     Splice_case.c_invoked =
@@ -153,7 +156,7 @@ let attempt ~seed ~detect ~cw ~dw ~failures =
   let r = Harness.run cfg w Workload.Small ~failures in
   let j = Cluster.journal r.Harness.cluster in
   let fail_time = match failures with (t, _) :: _ -> t | [] -> 0 in
-  let tl = timeline j ~fail_time in
+  let tl = timeline (Journal.by_stamp j) ~fail_time in
   let case = Splice_case.classify tl in
   ( case,
     {

@@ -21,7 +21,7 @@ let branches_with_respawns journal =
   |> List.filter_map (fun (e : Journal.entry) ->
          match e.Journal.event with
          | Journal.Respawned _ -> (
-           match Stamp.digits e.Journal.stamp with d :: _ -> Some d | [] -> None)
+           if Stamp.depth e.Journal.stamp = 0 then None else Some (Stamp.digit e.Journal.stamp 0))
          | _ -> None)
   |> List.sort_uniq compare
   |> List.length

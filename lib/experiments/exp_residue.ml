@@ -36,10 +36,13 @@ let p_stamp = Stamp.of_digits [ 0 ]
 
 let c_stamp = Stamp.of_digits [ 0; 0 ]
 
-let first journal stamp pred =
+(* [idx] is a run's {!Journal.by_stamp}. *)
+let events idx stamp = Option.value ~default:[] (Stamp.Map.find_opt stamp idx)
+
+let first idx stamp pred =
   List.find_map
     (fun (e : Journal.entry) -> if pred e.Journal.event then Some e.Journal.time else None)
-    (Journal.for_stamp journal stamp)
+    (events idx stamp)
 
 type windows = {
   p_host : int;
@@ -53,15 +56,15 @@ type windows = {
   p_accepted : int;  (* P's result accepted at G *)
 }
 
-let host_in j stamp =
+let host_in idx stamp =
   List.find_map
     (fun (e : Journal.entry) ->
       match e.Journal.event with Journal.Activated { proc; _ } -> Some proc | _ -> None)
-    (Journal.for_stamp j stamp)
+    (events idx stamp)
 
 let measure cfg =
   let r = Harness.probe cfg workload Workload.Small in
-  let j = Cluster.journal r.Harness.cluster in
+  let j = Journal.by_stamp (Cluster.journal r.Harness.cluster) in
   let ev stamp pred = first j stamp pred in
   let get what = function
     | Some t -> t
@@ -107,7 +110,7 @@ let pick_seed base =
     else begin
       let cfg = { base with Config.seed } in
       let r = Harness.probe cfg workload Workload.Small in
-      let j = Cluster.journal r.Harness.cluster in
+      let j = Journal.by_stamp (Cluster.journal r.Harness.cluster) in
       match (host_in j g_stamp, host_in j p_stamp, host_in j c_stamp) with
       | Some g, Some p, Some c when g <> p && c <> p -> seed
       | _ -> scan (seed + 1)
@@ -165,7 +168,7 @@ let run ?quick:_ () =
               List.exists
                 (fun (e : Journal.entry) ->
                   match e.Journal.event with Journal.Respawned _ -> true | _ -> false)
-                (Journal.for_stamp j g_stamp)
+                (events (Journal.by_stamp j) g_stamp)
             in
             if (not r.Harness.correct) || g_respawned then all_ok := false;
             Table.add_row table

@@ -69,24 +69,22 @@ module Pick = struct
      aborted before.  Returns (stamp, proc) pairs (latest activation per
      stamp). *)
   let live_activations journal ~time =
-    let latest : (int list, Ids.proc_id * bool) Hashtbl.t = Hashtbl.create 128 in
-    List.iter
-      (fun (e : Journal.entry) ->
-        if e.Journal.time <= time then begin
-          let key = Stamp.digits e.Journal.stamp in
-          match e.Journal.event with
-          | Journal.Activated { proc; _ } -> Hashtbl.replace latest key (proc, true)
-          | Journal.Completed _ | Journal.Aborted _ -> (
-            match Hashtbl.find_opt latest key with
-            | Some (proc, _) -> Hashtbl.replace latest key (proc, false)
-            | None -> ())
-          | _ -> ()
-        end)
-      (Journal.entries journal);
-    Hashtbl.fold
-      (fun key (proc, live) acc -> if live then (Stamp.of_digits key, proc) :: acc else acc)
-      latest []
-    |> List.sort (fun (a, _) (b, _) -> Stamp.compare a b)
+    let latest =
+      List.fold_left
+        (fun latest (e : Journal.entry) ->
+          if e.Journal.time > time then latest
+          else
+            match e.Journal.event with
+            | Journal.Activated { proc; _ } -> Stamp.Map.add e.Journal.stamp (proc, true) latest
+            | Journal.Completed _ | Journal.Aborted _ ->
+              Stamp.Map.update e.Journal.stamp
+                (Option.map (fun (proc, _) -> (proc, false)))
+                latest
+            | _ -> latest)
+        Stamp.Map.empty (Journal.entries journal)
+    in
+    Stamp.Map.bindings latest
+    |> List.filter_map (fun (stamp, (proc, live)) -> if live then Some (stamp, proc) else None)
 
   let busiest_at journal ~time ~exclude =
     let tally = Hashtbl.create 16 in
@@ -132,7 +130,7 @@ module Pick = struct
     let live = live_activations journal ~time in
     (* Hosts of tasks under distinct root children: failures there touch
        disjoint branches of the call tree. *)
-    let branch stamp = match Stamp.digits stamp with [] -> None | d :: _ -> Some d in
+    let branch stamp = if Stamp.depth stamp = 0 then None else Some (Stamp.digit stamp 0) in
     let rec search = function
       | [] -> None
       | (s1, p1) :: rest -> (

@@ -21,34 +21,20 @@ type event =
 
 type entry = { time : int; stamp : Stamp.t; event : event }
 
-type key = int list
-
-let key_of_stamp s : key = Stamp.digits s
-
 type t = {
   retain : bool;
       (* scale runs record millions of entries: with [retain = false] the
-         list and per-stamp index stay empty (sinks still see everything)
-         so journal memory is O(1) instead of O(run length) *)
+         list stays empty (sinks still see everything) so journal memory
+         is O(1) instead of O(run length) *)
   mutable rev_entries : entry list;
   mutable n_entries : int;
-  mutable last_time : int option;
-  by_stamp : (key, entry list ref) Hashtbl.t;  (* reverse chronological *)
   mutable extra : entry Recflow_obs_core.Sink.t option;
       (* streaming consumers (Perfetto.Stream, JSONL) see every entry as
          it is recorded, without waiting for — or needing — the full
          retained list *)
 }
 
-let create ?(retain = true) () =
-  {
-    retain;
-    rev_entries = [];
-    n_entries = 0;
-    last_time = None;
-    by_stamp = Hashtbl.create 256;
-    extra = None;
-  }
+let create ?(retain = true) () = { retain; rev_entries = []; n_entries = 0; extra = None }
 
 let attach_sink t sink =
   t.extra <-
@@ -56,50 +42,31 @@ let attach_sink t sink =
     | None -> Some sink
     | Some existing -> Some (Recflow_obs_core.Sink.tee existing sink))
 
+(* The hot path: no hashing, and no entry at all unless a sink or the
+   retained list wants one. *)
 let record t ~time ~stamp event =
-  let e = { time; stamp; event } in
   t.n_entries <- t.n_entries + 1;
-  t.last_time <- Some time;
-  (match t.extra with Some s -> Recflow_obs_core.Sink.emit s e | None -> ());
-  if t.retain then begin
-    t.rev_entries <- e :: t.rev_entries;
-    let k = key_of_stamp stamp in
-    match Hashtbl.find_opt t.by_stamp k with
-    | Some r -> r := e :: !r
-    | None -> Hashtbl.add t.by_stamp k (ref [ e ])
-  end
+  match t.extra with
+  | Some s ->
+    let e = { time; stamp; event } in
+    Recflow_obs_core.Sink.emit s e;
+    if t.retain then t.rev_entries <- e :: t.rev_entries
+  | None -> if t.retain then t.rev_entries <- { time; stamp; event } :: t.rev_entries
 
 let entries t = List.rev t.rev_entries
 
 let length t = t.n_entries
 
-let last_entry_time t = t.last_time
-
-let failures t =
-  List.rev
-    (List.filter_map
-       (fun e -> match e.event with Failure { proc } -> Some (e.time, proc) | _ -> None)
-       t.rev_entries)
-
-let for_stamp t stamp =
-  match Hashtbl.find_opt t.by_stamp (key_of_stamp stamp) with
-  | Some r -> List.rev !r
-  | None -> []
-
-let stamps t =
-  Hashtbl.fold (fun k _ acc -> Stamp.of_digits k :: acc) t.by_stamp []
-  |> List.sort Stamp.compare
+(* Folding the reverse-chronological list and consing leaves every
+   per-stamp list chronological. *)
+let by_stamp t =
+  List.fold_left
+    (fun m e ->
+      Stamp.Map.update e.stamp (function None -> Some [ e ] | Some l -> Some (e :: l)) m)
+    Stamp.Map.empty t.rev_entries
 
 let count t pred =
   List.fold_left (fun acc e -> if pred e.event then acc + 1 else acc) 0 t.rev_entries
-
-let first_time t stamp pred =
-  List.find_opt (fun e -> pred e.event) (for_stamp t stamp) |> Option.map (fun e -> e.time)
-
-let last_time t stamp pred =
-  List.fold_left
-    (fun acc e -> if pred e.event then Some e.time else acc)
-    None (for_stamp t stamp)
 
 let event_label = function
   | Spawned _ -> "spawned"

@@ -1,7 +1,10 @@
 (** Structured lifecycle journal of a simulation run.
 
     The cluster appends an entry for every significant task-lifecycle and
-    recovery event, keyed by level stamp.  Experiments read the journal to
+    recovery event, tagged with its level stamp.  Recording only counts the
+    entry, feeds attached sinks and, when retained, conses it onto a list:
+    it keeps no index.  Readers that look entries up by stamp build one
+    with {!by_stamp}, once per analysis.  Experiments read the journal to
     classify splice cases (§4.1), compute salvage rates and redone work,
     and verify residue-freedom — tests assert directly against it. *)
 
@@ -41,11 +44,10 @@ type t
 
 val create : ?retain:bool -> unit -> t
 (** [retain] (default [true]) keeps every entry in memory for {!entries},
-    {!for_stamp} and friends.  With [retain:false] — the scale-run mode,
+    {!by_stamp} and {!count}.  With [retain:false] — the scale-run mode,
     selected through [Config.journal_retain] — attached sinks still see
-    every entry and {!length}/{!last_entry_time} stay exact, but the
-    retained list and per-stamp index remain empty, so journal memory is
-    O(1) in the run length. *)
+    every entry and {!length} stays exact, but no entry is kept, so
+    journal memory is O(1) in the run length. *)
 
 val attach_sink : t -> entry Recflow_obs_core.Sink.t -> unit
 (** Every subsequent entry is also pushed into the sink as it is recorded
@@ -54,30 +56,20 @@ val attach_sink : t -> entry Recflow_obs_core.Sink.t -> unit
     tee; the caller keeps ownership and closes file-backed sinks. *)
 
 val record : t -> time:int -> stamp:Stamp.t -> event -> unit
+(** O(1): no hashing, and no allocation beyond the entry (and its list
+    cell when retained). *)
 
 val entries : t -> entry list
 (** Chronological. *)
 
 val length : t -> int
+(** Entries recorded, retained or not. *)
 
-val last_entry_time : t -> int option
-(** Time of the newest entry. *)
-
-val failures : t -> (int * Ids.proc_id) list
-(** [(time, proc)] of every [Failure] entry, chronological — the episode
-    boundaries the observability layer folds over. *)
-
-val for_stamp : t -> Stamp.t -> entry list
-(** Chronological entries for one stamp. *)
-
-val stamps : t -> Stamp.t list
-(** All stamps seen, sorted. *)
+val by_stamp : t -> entry list Stamp.Map.t
+(** The retained entries grouped by stamp, each list chronological.  Built
+    in one pass on every call: callers build it once per analysis. *)
 
 val count : t -> (event -> bool) -> int
-
-val first_time : t -> Stamp.t -> (event -> bool) -> int option
-
-val last_time : t -> Stamp.t -> (event -> bool) -> int option
 
 val event_label : event -> string
 

@@ -83,9 +83,10 @@ type task = {
       (* salvaged orphan results that arrived before this (twin) task
          spawned the chain link they travel through: (orphan stamp, dead
          parent link, value) *)
-  mutable adopted : (int list * (Packet.link * Packet.link)) list;
-      (* orphan stamp (digits) -> (orphan link, dead parent link): live
-         orphans this step-parent must inherit instead of cloning *)
+  mutable adopted : (Stamp.t * (Packet.link * Packet.link)) list;
+      (* orphan stamp -> (orphan link, dead parent link): live orphans
+         this step-parent must inherit instead of cloning; at most one
+         binding per stamp *)
   mutable adopt_pending : (Stamp.t * Packet.link * Packet.link) list;
       (* adoption reports waiting for this twin to spawn the chain link *)
   mutable adoption_reported : bool;
@@ -1025,8 +1026,9 @@ let handle_orphan_alive t ctx task ~ostamp ~(orphan : Packet.link)
       in
       if clone_exists then Counter.incr ctx.counters "adopt.late"
       else begin
-        let key = Stamp.digits ostamp in
-        task.adopted <- (key, (orphan, dead_parent)) :: List.remove_assoc key task.adopted;
+        task.adopted <-
+          (ostamp, (orphan, dead_parent))
+          :: List.filter (fun (s, _) -> not (Stamp.equal s ostamp)) task.adopted;
         Counter.incr ctx.counters "adopt.recorded"
       end
     end
@@ -1359,24 +1361,28 @@ let step t ctx =
                 (Journal.Result_accepted { task = task.tid });
               ctx.wake t.nid ~delay:1
             | None ->
-              let next_stamp = Stamp.child task.packet.Packet.stamp task.child_seq in
-              let next_key = Stamp.digits next_stamp in
               let adoption =
-                match List.assoc_opt next_key task.adopted with
-                | Some (orphan, _) when Hashtbl.mem t.known_dead orphan.Packet.proc ->
-                  (* the orphan died since it reported: the adoption is
-                     stale; spawn a fresh child instead *)
-                  task.adopted <- List.remove_assoc next_key task.adopted;
-                  Counter.incr ctx.counters "adopt.stale";
-                  None
-                | other -> other
+                match task.adopted with
+                | [] -> None
+                | adopted -> (
+                  let next_stamp = Stamp.child task.packet.Packet.stamp task.child_seq in
+                  match List.partition (fun (s, _) -> Stamp.equal s next_stamp) adopted with
+                  | [], _ -> None
+                  | (_, ((orphan, _) as links)) :: _, rest ->
+                    task.adopted <- rest;
+                    if Hashtbl.mem t.known_dead orphan.Packet.proc then begin
+                      (* the orphan died since it reported: the adoption
+                         is stale; spawn a fresh child instead *)
+                      Counter.incr ctx.counters "adopt.stale";
+                      None
+                    end
+                    else Some links)
               in
               (match adoption with
               | Some (orphan, _dead_parent) ->
                 (* Inherit the living orphan: bind the slot to it instead
                    of spawning a clone; its result arrives via the
                    grandparent relay. *)
-                task.adopted <- List.remove_assoc next_key task.adopted;
                 let packet = build_child_packet t ctx task ~slot ~fname ~args in
                 ignore (record_checkpoint t ctx ~dest:orphan.Packet.proc packet);
                 let child =

@@ -30,33 +30,39 @@ type t = {
 let in_window ~fail_time ~window_end time =
   time >= fail_time && match window_end with Some w -> time < w | None -> true
 
+let for_stamp by_stamp stamp = Option.value ~default:[] (Stamp.Map.find_opt stamp by_stamp)
+
+(* The first task activated under [stamp] before [fail_time]: the
+   execution a failure at [fail_time] can destroy. *)
+let activated_before by_stamp ~fail_time stamp =
+  List.find_map
+    (fun (e : Journal.entry) ->
+      match e.Journal.event with
+      | Journal.Activated { task; _ } when e.Journal.time < fail_time -> Some task
+      | _ -> None)
+    (for_stamp by_stamp stamp)
+
 (* §4.1 classification for every child of every task that died with the
-   failed processor. *)
-let case_histogram journal ~fail_time ~dead_stamps =
+   failed processor.  [by_stamp] is the journal's {!Journal.by_stamp}. *)
+let case_histogram by_stamp ~fail_time ~dead_stamps =
   let first_time stamp pred =
     List.find_map
       (fun (e : Journal.entry) -> if pred e.Journal.event e.Journal.time then Some e.Journal.time else None)
-      (Journal.for_stamp journal stamp)
+      (for_stamp by_stamp stamp)
   in
-  let orig_task stamp =
-    (* the pre-failure activation this episode lost *)
-    List.find_map
-      (fun (e : Journal.entry) ->
-        match e.Journal.event with
-        | Journal.Activated { task; _ } when e.Journal.time < fail_time -> Some task
-        | _ -> None)
-      (Journal.for_stamp journal stamp)
-  in
-  let all_stamps = Journal.stamps journal in
+  (* Descendants of [p] sort right after it, so its children are the
+     depth-[d+1] keys of that run. *)
   let children p =
-    List.filter
-      (fun s -> match Stamp.parent s with Some q -> Stamp.equal p q | None -> false)
-      all_stamps
+    let d = Stamp.depth p + 1 in
+    Stamp.Map.to_seq_from p by_stamp
+    |> Seq.take_while (fun (s, _) -> Stamp.equal s p || Stamp.is_ancestor p s)
+    |> Seq.filter_map (fun (s, _) -> if Stamp.depth s = d then Some s else None)
+    |> List.of_seq
   in
   let tally = Hashtbl.create 8 in
   List.iter
     (fun p ->
-      let p_orig = orig_task p in
+      let p_orig = activated_before by_stamp ~fail_time p in
       let twin_time want orig =
         first_time p (fun ev time ->
             match (ev, want) with
@@ -74,7 +80,7 @@ let case_histogram journal ~fail_time ~dead_stamps =
                 match e.Journal.event with
                 | Journal.Spawned { task; _ } when e.Journal.time < fail_time -> Some task
                 | _ -> None)
-              (Journal.for_stamp journal c)
+              (for_stamp by_stamp c)
           in
           let orig_time want =
             match c_orig with
@@ -114,6 +120,7 @@ let case_histogram journal ~fail_time ~dead_stamps =
 
 let analyze journal =
   let entries = Journal.entries journal in
+  let by_stamp = Journal.by_stamp journal in
   let failures =
     List.filter_map
       (fun (e : Journal.entry) ->
@@ -130,10 +137,10 @@ let analyze journal =
       let in_window time = in_window ~fail_time ~window_end time in
       (* Exact busy ticks per task id, straight from the journal: every
          task's execution ends in exactly one of Completed / Aborted /
-         Lost, each of which records the work consumed. *)
+         Lost, each of which records the work consumed.  The same pass
+         collects the task ids spawned before the failure. *)
       let work_of : (int, int) Hashtbl.t = Hashtbl.create 256 in
-      (* stamp digits -> first pre-failure activated task id *)
-      let pre_activated : (int list, int) Hashtbl.t = Hashtbl.create 256 in
+      let spawned_before : (int, unit) Hashtbl.t = Hashtbl.create 256 in
       List.iter
         (fun (e : Journal.entry) ->
           match e.Journal.event with
@@ -141,9 +148,8 @@ let analyze journal =
           | Journal.Aborted { task; work; _ }
           | Journal.Lost { task; work; _ } ->
             Hashtbl.replace work_of task work
-          | Journal.Activated { task; _ } when e.Journal.time < fail_time ->
-            let key = Stamp.digits e.Journal.stamp in
-            if not (Hashtbl.mem pre_activated key) then Hashtbl.add pre_activated key task
+          | Journal.Spawned { task; _ } when e.Journal.time < fail_time ->
+            Hashtbl.replace spawned_before task ()
           | _ -> ())
         entries;
       (* The tasks the failure destroyed, as journalled at kill time. *)
@@ -159,29 +165,18 @@ let analyze journal =
       in
       let dead_stamps = List.map (fun (_, stamp, _) -> stamp) dead in
       let lost_work = List.fold_left (fun acc (_, _, w) -> acc + w) 0 dead in
-      let dead_stamp_keys =
-        List.fold_left
-          (fun set s -> Stamp.digits s :: set)
-          [] dead_stamps
+      let dead_set =
+        List.fold_left (fun set s -> Stamp.Map.add s () set) Stamp.Map.empty dead_stamps
       in
       let parent_died stamp =
-        match Stamp.parent stamp with
-        | Some p -> List.mem (Stamp.digits p) dead_stamp_keys
-        | None -> false
-      in
-      let spawned_before task =
-        List.exists
-          (fun (e : Journal.entry) ->
-            e.Journal.time < fail_time
-            && match e.Journal.event with Journal.Spawned { task = s; _ } -> s = task | _ -> false)
-          entries
+        match Stamp.parent stamp with Some p -> Stamp.Map.mem p dead_set | None -> false
       in
       (* Single pass over the window for counts, detection and quiesce. *)
       let reissued = ref 0 and inherited = ref 0 and relayed = ref 0 in
       let orphans_dropped = ref 0 and aborted = ref 0 and duplicates = ref 0 in
       let salvaged = ref 0 in
       let first_respawn = ref None and quiesce = ref None in
-      let redone = Hashtbl.create 64 in
+      let redone = ref Stamp.Map.empty in
       let touch_quiesce time =
         match !quiesce with Some q when q >= time -> () | _ -> quiesce := Some time
       in
@@ -201,7 +196,7 @@ let analyze journal =
               | Journal.Duplicate_ignored _ -> incr duplicates; true
               | Journal.Aborted _ -> incr aborted; true
               | Journal.Result_accepted { task } ->
-                if spawned_before task && parent_died e.Journal.stamp then begin
+                if Hashtbl.mem spawned_before task && parent_died e.Journal.stamp then begin
                   incr salvaged;
                   true
                 end
@@ -209,11 +204,14 @@ let analyze journal =
               | Journal.Activated { task; _ } -> (
                 (* re-execution of a stamp the failure wiped out: charge the
                    original execution's recorded busy ticks as redone work *)
-                match Hashtbl.find_opt pre_activated (Stamp.digits e.Journal.stamp) with
+                let stamp = e.Journal.stamp in
+                match activated_before by_stamp ~fail_time stamp with
                 | Some orig when orig <> task ->
-                  if not (Hashtbl.mem redone (Stamp.digits e.Journal.stamp)) then
-                    Hashtbl.add redone (Stamp.digits e.Journal.stamp)
-                      (Option.value ~default:0 (Hashtbl.find_opt work_of orig));
+                  if not (Stamp.Map.mem stamp !redone) then
+                    redone :=
+                      Stamp.Map.add stamp
+                        (Option.value ~default:0 (Hashtbl.find_opt work_of orig))
+                        !redone;
                   true
                 | _ -> false)
               | _ -> false
@@ -221,9 +219,9 @@ let analyze journal =
             if recovery_event then touch_quiesce e.Journal.time
           end)
         entries;
-      let redone_tasks = Hashtbl.length redone in
-      let redone_work = Hashtbl.fold (fun _ w acc -> acc + w) redone 0 in
-      let cases = case_histogram journal ~fail_time ~dead_stamps in
+      let redone_tasks = Stamp.Map.cardinal !redone in
+      let redone_work = Stamp.Map.fold (fun _ w acc -> acc + w) !redone 0 in
+      let cases = case_histogram by_stamp ~fail_time ~dead_stamps in
       {
         ordinal = i + 1;
         failed_proc;

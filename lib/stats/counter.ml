@@ -12,7 +12,9 @@ let cell set name =
 
 let incr set name = Stdlib.incr (cell set name)
 
-let add set name n = cell set name := !(cell set name) + n
+let add set name n =
+  let r = cell set name in
+  r := !r + n
 
 let get set name = match Hashtbl.find_opt set name with Some r -> !r | None -> 0
 

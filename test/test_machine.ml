@@ -217,9 +217,8 @@ let journal_invariants () =
   ignore (answer_of o);
   let j = Cluster.journal c in
   (* every Completed activation was Activated first, per stamp+task *)
-  List.iter
-    (fun st ->
-      let events = Journal.for_stamp j st in
+  Stamp.Map.iter
+    (fun _ events ->
       List.iter
         (fun (e : Journal.entry) ->
           match e.Journal.event with
@@ -246,7 +245,46 @@ let journal_invariants () =
                  events)
           | _ -> ())
         events)
-    (Journal.stamps j)
+    (Journal.by_stamp j)
+
+(* A full binary call tree of depth 13 (2^14 - 1 stamps), every stamp
+   activated and later completed.  Stamps that share their first 10 digits
+   share [Stamp.hash] too, so this is the shape a digit-list hash table
+   piles into one bucket; the stamp-keyed index must keep them apart. *)
+let journal_by_stamp_deep_tree () =
+  let j = Journal.create () in
+  let rec tree s =
+    if Stamp.depth s = 13 then [ s ] else s :: (tree (Stamp.child s 0) @ tree (Stamp.child s 1))
+  in
+  let stamps = tree Stamp.root in
+  let n = List.length stamps in
+  List.iteri
+    (fun i s -> Journal.record j ~time:i ~stamp:s (Journal.Activated { task = i; proc = 0 }))
+    stamps;
+  List.iteri
+    (fun i s ->
+      Journal.record j ~time:(n + i) ~stamp:s (Journal.Completed { task = i; proc = 0; work = 1 }))
+    stamps;
+  let idx = Journal.by_stamp j in
+  check_int "one key per stamp" ((1 lsl 14) - 1) (Stamp.Map.cardinal idx);
+  Stamp.Map.iter
+    (fun key events ->
+      match events with
+      | [ { Journal.event = Journal.Activated { task = a; _ }; time = t1; stamp = s1 };
+          { Journal.event = Journal.Completed { task = c; _ }; time = t2; stamp = s2 } ] ->
+        check "own stamp only" true (Stamp.equal s1 key && Stamp.equal s2 key);
+        check "chronological" true (t1 < t2 && a = c)
+      | _ -> Alcotest.failf "stamp %s: expected activated then completed" (Stamp.to_string key))
+    idx;
+  let prefix = [ 0; 1; 0; 1; 0; 1; 0; 1; 0; 1 ] in
+  let a = Stamp.of_digits (prefix @ [ 0; 0; 0 ]) and b = Stamp.of_digits (prefix @ [ 1; 1; 1 ]) in
+  check "the pinned hash cannot tell them apart" true (Stamp.hash a = Stamp.hash b);
+  let task_of s =
+    match Stamp.Map.find s idx with
+    | { Journal.event = Journal.Activated { task; _ }; _ } :: _ -> task
+    | _ -> -1
+  in
+  check "shared 10-digit prefix stays apart" true (task_of a <> task_of b && task_of a >= 0)
 
 let determinism () =
   let go () =
@@ -554,6 +592,7 @@ let suites =
     ( "machine.invariants",
       [
         Alcotest.test_case "journal invariants" `Quick journal_invariants;
+        Alcotest.test_case "journal by_stamp deep tree" `Quick journal_by_stamp_deep_tree;
         Alcotest.test_case "determinism" `Quick determinism;
         Alcotest.test_case "seed sensitivity" `Quick seed_changes_schedule;
         Alcotest.test_case "program error" `Quick program_error_surfaces;
