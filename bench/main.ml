@@ -53,11 +53,11 @@ let bench_ckpt_record =
     (Staged.stage (fun () ->
          let t = Ckpt_table.create () in
          for i = 0 to 31 do
-           let stamp = Stamp.child (Stamp.child Stamp.root (i mod 4)) i in
+           let stamp = Stamp.child (Stamp.child Stamp.root (i * 40)) (i mod 4) in
            ignore (Ckpt_table.record t ~dest:(i mod 8) (mk_packet stamp))
          done;
          for i = 0 to 31 do
-           let stamp = Stamp.child (Stamp.child Stamp.root (i mod 4)) i in
+           let stamp = Stamp.child (Stamp.child Stamp.root (i * 40)) (i mod 4) in
            ignore (Ckpt_table.discharge t ~dest:(i mod 8) stamp)
          done))
 

@@ -14,11 +14,12 @@
     checkpoint (strict evaluation means a completed child's whole subtree
     is complete, so coverage is not lost).
 
-    Each entry is indexed as a digit trie over stamps (a node per stamp
-    prefix), so {!record}'s covered/dominates checks and {!discharge} cost
-    O(stamp depth) rather than a scan of the entry — entry size does not
-    matter, which keeps [Keep_all] (the Q8 space/time ablation) usable at
-    scale.  {!on_failure} and {!entry} still return stamp-sorted lists. *)
+    Each entry is a {!Stamp.Map} from stamp to packets, so {!record}'s
+    covered/dominates checks and {!discharge} are O(log n) map operations
+    rather than a scan of the entry, which keeps [Keep_all] (the Q8
+    space/time ablation) usable at scale.  A discharged checkpoint leaves
+    nothing behind, so a table's memory tracks its live checkpoints.
+    {!on_failure} and {!entry} return stamp-sorted lists. *)
 
 type mode = Topmost | Keep_all
 

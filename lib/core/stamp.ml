@@ -140,60 +140,60 @@ let prefix s l =
 
 let parent s = match depth s with 0 -> None | d -> Some (prefix s (d - 1))
 
+(* The comparison loops below are top-level functions that take every
+   value they read as an argument: a local [let rec] would capture its
+   arguments in a closure allocated on every call. *)
+
 (* Generic per-digit fallbacks, lawful for any layout mix. *)
+
+(* Digits [i..n-1] of [a] and [b] agree. *)
+let rec digits_agree a b n i = i = n || (digit a i = digit b i && digits_agree a b n (i + 1))
 
 let slow_equal a b =
   let d = depth a in
-  depth b = d
-  && (let rec eq i = i = d || (digit a i = digit b i && eq (i + 1)) in
-      eq 0)
+  depth b = d && digits_agree a b d 0
+
+let rec slow_compare_from a b n i =
+  if i = n then Int.compare (depth a) (depth b)
+  else
+    let c = Int.compare (digit a i) (digit b i) in
+    if c <> 0 then c else slow_compare_from a b n (i + 1)
 
 let slow_compare a b =
   let da = depth a and db = depth b in
-  let n = if da < db then da else db in
-  let rec go i =
-    if i = n then Stdlib.compare da db
-    else
-      let c = Stdlib.compare (digit a i) (digit b i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+  slow_compare_from a b (if da < db then da else db) 0
 
 let slow_is_ancestor a b =
   let da = depth a in
-  da < depth b
-  && (let rec pre i = i = da || (digit a i = digit b i && pre (i + 1)) in
-      pre 0)
+  da < depth b && digits_agree a b da 0
+
+(* Words [j..n-1] of [a] and [b] agree. *)
+let rec words_agree (a : t) (b : t) n j =
+  j = n || (Array.unsafe_get a j = Array.unsafe_get b j && words_agree a b n (j + 1))
 
 let equal a b =
   a == b
   ||
   let da = Array.unsafe_get a 1 and db = Array.unsafe_get b 1 in
-  if da >= 0 && db >= 0 then
-    da = db
-    && (let rec eq j =
-          j = 1 || (Array.unsafe_get a j = Array.unsafe_get b j && eq (j - 1))
-        in
-        eq (Array.length a - 1))
+  if da >= 0 && db >= 0 then da = db && words_agree a b (Array.length a) 2
   else slow_equal a b
+
+let rec words_compare (a : t) (b : t) n j =
+  if j = n then Int.compare (Array.unsafe_get a 1) (Array.unsafe_get b 1)
+  else
+    let x = Array.unsafe_get a j and y = Array.unsafe_get b j in
+    if x = y then words_compare a b n (j + 1) else Int.compare x y
 
 (* Lexicographic on forward digits; a proper prefix sorts first — the same
    order [Stdlib.compare] gave on forward digit lists.  Packed words are
-   positive ints, so [Stdlib.compare] on them is an unsigned byte-string
+   positive ints, so comparing them is an unsigned byte-string
    comparison, i.e. exactly digit-lexicographic; zero padding ties are
    broken by depth. *)
 let compare a b =
   let da = Array.unsafe_get a 1 and db = Array.unsafe_get b 1 in
   if da >= 0 && db >= 0 then begin
     let wa = Array.length a and wb = Array.length b in
-    let n = if wa < wb then wa else wb in
-    let rec go j =
-      if j = n then Stdlib.compare da db
-      else
-        let x = Array.unsafe_get a j and y = Array.unsafe_get b j in
-        if x = y then go (j + 1) else Stdlib.compare x y
-    in
-    go 2
+    words_compare a b (if wa < wb then wa else wb) 2
   end
   else slow_compare a b
 
@@ -203,15 +203,13 @@ let is_ancestor a b =
   let da = Array.unsafe_get a 1 and db = Array.unsafe_get b 1 in
   if da >= 0 && db >= 0 then
     da < db
-    && (let q = da / 7 and r = da mod 7 in
-        let rec words j =
-          j = q + 2 || (Array.unsafe_get a j = Array.unsafe_get b j && words (j + 1))
-        in
-        words 2
-        && (r = 0
-            || (Array.unsafe_get a (q + 2) lxor Array.unsafe_get b (q + 2))
-                 land (((1 lsl (8 * r)) - 1) lsl (8 * (7 - r)))
-               = 0))
+    &&
+    let q = da / 7 and r = da mod 7 in
+    words_agree a b (q + 2) 2
+    && (r = 0
+       || (Array.unsafe_get a (q + 2) lxor Array.unsafe_get b (q + 2))
+            land (((1 lsl (8 * r)) - 1) lsl (8 * (7 - r)))
+          = 0)
   else slow_is_ancestor a b
 
 let is_descendant a b = is_ancestor b a

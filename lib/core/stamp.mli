@@ -25,9 +25,8 @@ val depth : t -> int
 (** Root has depth 0.  O(1). *)
 
 val digit : t -> int -> int
-(** [digit s i] is the i-th digit from the root, [0 <= i < depth s] — the
-    per-digit accessor the checkpoint-table trie walks with, so indexing a
-    stamp never materialises a digit list.
+(** [digit s i] is the i-th digit from the root, [0 <= i < depth s],
+    read without materialising a digit list.
     @raise Invalid_argument out of range. *)
 
 val digits : t -> int list

@@ -43,15 +43,15 @@ let orphan_relay ~direct (dead_parent : Packet.link) =
   if direct then (To_step_parent { dead_parent }, dead_parent.Packet.slot)
   else (To_grandparent { dead_parent }, -1)
 
-let label = function
-  | Task_packet _ -> "task_packet"
-  | Orphan_alive _ -> "orphan_alive"
-  | Reparent _ -> "reparent"
-  | Ack _ -> "ack"
-  | Result _ -> "result"
-  | Gradient _ -> "gradient"
-  | Abort _ -> "abort"
-  | Failure_notice _ -> "failure_notice"
+let counter_name = function
+  | Task_packet _ -> "msg.task_packet"
+  | Orphan_alive _ -> "msg.orphan_alive"
+  | Reparent _ -> "msg.reparent"
+  | Ack _ -> "msg.ack"
+  | Result _ -> "msg.result"
+  | Gradient _ -> "msg.gradient"
+  | Abort _ -> "msg.abort"
+  | Failure_notice _ -> "msg.failure_notice"
 
 let describe = function
   | Task_packet { packet; task_id; replica; replicas } ->

@@ -77,8 +77,9 @@ val orphan_relay : direct:bool -> Packet.link -> relay * int
     further down the chain of twins.  Returns the relay and the target
     slot. *)
 
-val label : t -> string
-(** Counter key, one per variant: "task_packet", "orphan_alive",
-    "reparent", "ack", "result", "gradient", "abort", "failure_notice". *)
+val counter_name : t -> string
+(** Delivery counter key, one constant string per variant:
+    "msg.task_packet", "msg.orphan_alive", "msg.reparent", "msg.ack",
+    "msg.result", "msg.gradient", "msg.abort", "msg.failure_notice". *)
 
 val describe : t -> string

@@ -2,10 +2,12 @@ type set = (string, int ref) Hashtbl.t
 
 let create_set () = Hashtbl.create 32
 
+(* [find] rather than [find_opt]: this runs on every bump, and [find_opt]
+   allocates a [Some]. *)
 let cell set name =
-  match Hashtbl.find_opt set name with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find set name with
+  | r -> r
+  | exception Not_found ->
     let r = ref 0 in
     Hashtbl.add set name r;
     r

@@ -87,6 +87,45 @@ let stamp_common_ancestor () =
   Alcotest.check stamp "disjoint" Stamp.root (ca [ 1 ] [ 2 ]);
   Alcotest.check stamp "one contains other" (Stamp.of_digits [ 1 ]) (ca [ 1 ] [ 1; 5 ])
 
+(* [compare], [equal] and [is_ancestor] sit under every [Stamp.Map]
+   lookup: none may allocate, on either layout or a mix of the two. *)
+let stamp_compares_allocate_nothing () =
+  let calls = 100_000 in
+  let words f a b =
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      f a b
+    done;
+    Gc.minor_words () -. before
+  in
+  let ops =
+    [
+      ("compare", fun a b -> ignore (Sys.opaque_identity (Stamp.compare a b)));
+      ("equal", fun a b -> ignore (Sys.opaque_identity (Stamp.equal a b)));
+      ("is_ancestor", fun a b -> ignore (Sys.opaque_identity (Stamp.is_ancestor a b)));
+    ]
+  in
+  let ds = [ 1; 2; 0; 3; 1; 2; 0; 3; 1 ] in
+  let layouts =
+    [
+      ("packed", Stamp.of_digits ds, Stamp.of_digits (ds @ [ 2 ]));
+      ("spilled", Stamp.of_digits (300 :: ds), Stamp.of_digits ((300 :: ds) @ [ 2 ]));
+      ("mixed", Stamp.of_digits ds, Option.get (Stamp.parent (Stamp.of_digits (ds @ [ 300 ]))));
+    ]
+  in
+  List.iter
+    (fun (layout, a, b) ->
+      List.iter
+        (fun (name, f) ->
+          List.iter
+            (fun (x, y) ->
+              let w = words f x y in
+              if w >= 64. then
+                Alcotest.failf "%s on %s stamps: %.0f words over %d calls" name layout w calls)
+            [ (a, b); (b, a); (a, Stamp.of_digits (Stamp.digits a)) ])
+        ops)
+    layouts
+
 let stamp_of_string_errors () =
   (match Stamp.of_string "1.x.2" with Error _ -> () | Ok _ -> Alcotest.fail "bad digit accepted");
   match Stamp.of_string "" with
@@ -183,8 +222,10 @@ let ckpt_keep_all_duplicates () =
   check "second discharge is a miss" false
     (Ckpt_table.discharge t ~dest:1 (Stamp.of_digits [ 2; 2 ]))
 
-(* Randomized cross-check of the trie-indexed table against the original
-   flat-list implementation, replayed operation by operation. *)
+(* Randomized cross-check of the [Stamp.Map]-indexed table against the
+   original flat-list implementation, replayed operation by operation.
+   Entries are compared packet by packet with [==], so the newest-first
+   order of equal stamps under [Keep_all] is checked too. *)
 module Ckpt_oracle = struct
   type t = { mode : Ckpt_table.mode; mutable entries : (int * Packet.t list) list }
 
@@ -231,25 +272,35 @@ module Ckpt_oracle = struct
   let total t = List.fold_left (fun acc (_, l) -> acc + List.length l) 0 t.entries
 end
 
+(* Digits above 255 put packed and spilled stamps in one map; [respill]
+   builds a spilled stamp whose digits may all fit the packed layout, so a
+   stamp can meet its own digits in the other layout.  [dest = -1] is the
+   super-root's slot. *)
 let gen_op =
   QCheck.Gen.(
     int_bound 20 >>= fun len ->
-    list_size (return len) (int_bound 2) >>= fun digits ->
-    int_bound 2 >>= fun dest ->
-    bool >>= fun is_record -> return (is_record, dest, digits))
+    list_size (return len) (frequency [ (6, int_bound 2); (1, int_range 256 257) ])
+    >>= fun digits ->
+    bool >>= fun respill ->
+    int_range (-1) 2 >>= fun dest ->
+    bool >>= fun is_record -> return (is_record, dest, digits, respill))
+
+let op_stamp digits respill =
+  if respill then Option.get (Stamp.parent (Stamp.of_digits (digits @ [ 256 ])))
+  else Stamp.of_digits digits
 
 let ckpt_matches_oracle mode =
   QCheck.Test.make ~count:300
     ~name:
-      (Printf.sprintf "trie table = flat-list oracle (%s)"
+      (Printf.sprintf "stamp-map table = flat-list oracle (%s)"
          (match mode with Ckpt_table.Topmost -> "topmost" | Ckpt_table.Keep_all -> "keep-all"))
     (QCheck.make QCheck.Gen.(list_size (int_bound 60) gen_op))
     (fun ops ->
       let t = Ckpt_table.create ~mode () in
       let o = Ckpt_oracle.create mode in
       List.for_all
-        (fun (is_record, dest, digits) ->
-          let stamp = Stamp.of_digits digits in
+        (fun (is_record, dest, digits, respill) ->
+          let stamp = op_stamp digits respill in
           let same_step =
             if is_record then
               let p = mk_packet ~stamp () in
@@ -257,13 +308,10 @@ let ckpt_matches_oracle mode =
             else Ckpt_table.discharge t ~dest stamp = Ckpt_oracle.discharge o ~dest stamp
           in
           let same_entry dest =
-            List.map
-              (fun (p : Packet.t) -> Stamp.digits p.Packet.stamp)
-              (Ckpt_table.entry t ~dest)
-            = List.map (fun (p : Packet.t) -> Stamp.digits p.Packet.stamp) (Ckpt_oracle.sorted o dest)
+            List.equal ( == ) (Ckpt_table.entry t ~dest) (Ckpt_oracle.sorted o dest)
           in
           same_step
-          && same_entry 0 && same_entry 1 && same_entry 2
+          && same_entry (-1) && same_entry 0 && same_entry 1 && same_entry 2
           && Ckpt_table.total_size t = Ckpt_oracle.total o)
         ops)
 
@@ -279,6 +327,19 @@ let ckpt_on_failure () =
   check_int "entry cleared" 0 (List.length (Ckpt_table.entry t ~dest:1));
   Alcotest.(check (list int)) "other entries untouched" [ 5 ] (Ckpt_table.destinations t);
   check "repeat drain is empty" true (Ckpt_table.on_failure t ~failed:1 = [])
+
+(* A discharged checkpoint leaves nothing behind: after 10,000 distinct
+   depth-6 record+discharge cycles the empty table is as small as a fresh
+   one, so its memory tracks the live checkpoints, not run length. *)
+let ckpt_empty_table_is_small mode () =
+  let t = Ckpt_table.create ~mode () in
+  for i = 0 to 9_999 do
+    let stamp = Stamp.of_digits (List.map (fun k -> i / k mod 5) [ 3125; 625; 125; 25; 5; 1 ]) in
+    ignore (Ckpt_table.record t ~dest:3 (mk_packet ~stamp ()));
+    check "discharged" true (Ckpt_table.discharge t ~dest:3 stamp)
+  done;
+  check_int "empty" 0 (Ckpt_table.total_size t);
+  check "reachable words of the empty table < 64" true (Obj.reachable_words (Obj.repr t) < 64)
 
 (* ---------------- Splice_case ---------------- *)
 
@@ -450,6 +511,7 @@ let suites =
         Alcotest.test_case "ancestry" `Quick stamp_ancestry;
         Alcotest.test_case "common ancestor" `Quick stamp_common_ancestor;
         Alcotest.test_case "of_string errors" `Quick stamp_of_string_errors;
+        Alcotest.test_case "compares allocate nothing" `Quick stamp_compares_allocate_nothing;
         qtest stamp_prefix_iff_ancestor;
         qtest stamp_string_round_trip;
         qtest stamp_compare_lexicographic;
@@ -467,6 +529,10 @@ let suites =
         Alcotest.test_case "on failure" `Quick ckpt_on_failure;
         qtest (ckpt_matches_oracle Ckpt_table.Topmost);
         qtest (ckpt_matches_oracle Ckpt_table.Keep_all);
+        Alcotest.test_case "empty table is small (topmost)" `Quick
+          (ckpt_empty_table_is_small Ckpt_table.Topmost);
+        Alcotest.test_case "empty table is small (keep-all)" `Quick
+          (ckpt_empty_table_is_small Ckpt_table.Keep_all);
       ] );
     ( "recovery.splice_case",
       [
